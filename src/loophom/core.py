@@ -21,6 +21,7 @@ honestly commutative (polynomial rings in one variable, say) set
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -120,7 +121,7 @@ class Algebra:
     def scalar(self, value):
         """Coerce a number into this algebra's coefficient ring."""
         if self.ring == RING_Q:
-            if isinstance(value, (int, Fraction)):
+            if is_scalar(value):
                 return Fraction(value)
             raise DomainError(f"cannot use {value!r} as a rational coefficient")
         if isinstance(value, Fraction):
@@ -129,7 +130,7 @@ class Algebra:
                     f"fractional coefficient {value} needs ring Q, not Z"
                 )
             return int(value)
-        if isinstance(value, int):
+        if is_scalar(value):
             return value
         raise DomainError(f"cannot use {value!r} as an integer coefficient")
 
@@ -380,19 +381,19 @@ class Element:
                     mono, sign = self.algebra.mul_monomials(m1, m2)
                     raw.append((sign * c1 * c2, mono))
             return self.algebra.normalize(raw)
-        if isinstance(other, (int, Fraction)):
+        if is_scalar(other):
             return self.algebra.normalize(
                 (c * other, m) for m, c in self.terms.items()
             )
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_scalar(other):
             return self * other
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_scalar(other):
             if other == 0:
                 raise DomainError("division by zero")
             if self.algebra.ring != RING_Q:
@@ -401,12 +402,7 @@ class Element:
         return NotImplemented
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise DomainError(f"exponent must be a natural number, got {k!r}")
-        out = self.algebra.unit()
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, self.algebra.unit, operator.mul)
 
     # -- comparison and display -------------------------------------------
 
@@ -418,33 +414,66 @@ class Element:
     def __hash__(self):
         return hash((id(self.algebra), frozenset(self.terms.items())))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        alg = self.algebra
-        unit = alg.unit_monomial
-        chunks = []
+    def format_terms(self, term_str) -> str:
+        """Signed sum of term_str(monomial, |coefficient|) in print order."""
+        out = ""
         for mono, coeff in self.sorted_terms():
-            negative = coeff < 0
-            mag = -coeff if negative else coeff
-            if mono == unit and alg.unit_name == "1":
-                body = scalar_str(mag)
-            elif mag == 1:
-                body = alg.monomial_str(mono)
-            else:
-                body = f"{scalar_str(mag)}*{alg.monomial_str(mono)}"
-            if not chunks:
-                chunks.append("-" + body if negative else body)
-            else:
-                chunks.append((" - " if negative else " + ") + body)
-        return "".join(chunks)
+            sign = (" - " if coeff < 0 else " + ") if out else ("-" if coeff < 0 else "")
+            out += sign + term_str(mono, abs(coeff))
+        return out or "0"
+
+    def __str__(self):
+        alg = self.algebra
+
+        def term_str(mono, mag):
+            if mono == alg.unit_monomial and alg.unit_name == "1":
+                return scalar_str(mag)
+            return scaled_str(mag, alg.monomial_str(mono))
+
+        return self.format_terms(term_str)
 
     def __repr__(self):
         return f"<{self} in {self.algebra.label}>"
 
 
+def is_scalar(value) -> bool:
+    """True for int and Fraction; a bool is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise DomainError(f"cannot use {value!r} as a scalar")
+    return isinstance(value, (int, Fraction))
+
+
+def power(base, k, unit, mul):
+    """base**k by square-and-multiply: unit() for k = 0, else at most k products mul(x, y)."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise DomainError(f"exponent must be a natural number, got {k!r}")
+    out = unit() if k == 0 else base
+    for bit in bin(k)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, base)
+    return out
+
+
 def scalar_str(value) -> str:
     """Exact scalar rendering: integers plainly, fractions as p/q."""
     if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
+        return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+    return _int_str(int(value))
+
+
+def scaled_str(mag, body: str) -> str:
+    """One printed term: body, prefixed by the scalar mag unless it is 1."""
+    return body if mag == 1 else f"{scalar_str(mag)}*{body}"
+
+
+def _int_str(value: int) -> str:
+    """str(value) at any size; past the int->str digit limit, which stays as it is, in two halves."""
+    if value < 0:
+        return "-" + _int_str(-value)
+    try:
+        return str(value)
+    except ValueError:
+        half = value.bit_length() * 3 // 20  # about half of the decimal digits
+        high, low = divmod(value, 10**half)
+        return _int_str(high) + _int_str(low).zfill(half)

@@ -1,17 +1,23 @@
 """Finite subgroups of O(2) acting on loops, quotient homology, transfers.
 
 A finite subgroup G of O(2) acts on the free loop space by rotating (and,
-for reflections, reversing) the loop parameter.  Rotations act trivially on
-homology; every reflection acts by loop reversal.  Three families are
-modeled:
+for reflections, reversing) the loop parameter t in R/Z.  Rotations act
+trivially on homology and every reflection acts by loop reversal, so
+homology sees G only through |G| and whether G contains a reflection.  A
+`Subgroup` is the triple (m, reflections, rotation):
 
-* ``cyclic(m)``              — rotations only, order m;
-* ``dihedral(m)``            — m rotations and m reflections through the
-                               standard axis, order 2m;
-* ``conjugate_dihedral(m,s)``— the copy of the dihedral group conjugated by
-                               the rotation through s (a fraction of a full
-                               turn).  ``theta_group()`` is the order-2 copy
-                               generated by the basepoint-moving reflection.
+* ``cyclic(m)``               — the m rotations, order m, label ``Cm``;
+* ``dihedral(m)``             — the m rotations and the m reflections
+                                t -> k/m - t, order 2m, label ``Dm``;
+* ``conjugate_dihedral(m,s)`` — the m rotations and the m reflections
+                                t -> s + k/m - t, label ``Dm@s``.  Only s
+                                modulo 1/m matters, so s is stored reduced
+                                and s = 0 is ``dihedral(m)``;
+* ``theta_group()``           — (1, True, 1/2): the order-2 group generated
+                                by the basepoint-moving reflection
+                                t -> 1/2 - t, label ``theta``.
+
+Equal labels mean equal groups, and so the same cached `quotient`.
 
 Homology of the quotient is modeled through invariant representatives:
 rationally, ``q_*`` identifies H(X/G; Q) with the G-invariants of H(X; Q),
@@ -36,76 +42,69 @@ divides by 2, and no integral quotient structure is modeled.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Element, Monomial, RING_Q, StructureError, scalar_str
-from .maps import LinearMap, theta_star
-from .spaces import LOOP, OMEGA, BettiTable, Space, TableRow
+from .core import DomainError, Element, Monomial, RING_Q, StructureError, is_scalar, power, scaled_str
+from .maps import LinearMap, chi_star, theta_star
+from .spaces import LOOP, OMEGA, BettiTable, Space
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A finite subgroup of O(2), up to the data homology can see."""
+    """A finite subgroup of O(2): m rotations and, with `reflections`, the m
+    reflections t -> rotation + k/m - t; `rotation` is kept reduced mod 1/m.
+    """
 
-    kind: str  # "cyclic" | "dihedral" | "conjugate_dihedral"
     m: int
-    rotation: object = None  # conjugating rotation, conjugate_dihedral only
+    reflections: bool
+    rotation: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.kind not in ("cyclic", "dihedral", "conjugate_dihedral"):
-            raise DomainError(f"unknown subgroup kind {self.kind!r}")
         if self.m < 1:
             raise DomainError(f"subgroup parameter m must be >= 1, got {self.m}")
-        if self.kind == "conjugate_dihedral" and self.rotation is None:
-            raise DomainError("conjugate_dihedral needs its conjugating rotation")
+        rotation = Fraction(self.rotation) % Fraction(1, self.m) if self.reflections else Fraction(0)
+        object.__setattr__(self, "rotation", rotation)
 
     @property
     def order(self) -> int:
-        return self.m if self.kind == "cyclic" else 2 * self.m
+        return self.m * (2 if self.reflections else 1)
 
     @property
     def has_reflections(self) -> bool:
-        return self.kind != "cyclic"
+        return self.reflections
 
     @property
     def label(self) -> str:
-        if self.kind == "cyclic":
+        if not self.reflections:
             return f"C{self.m}"
-        if self.kind == "dihedral":
+        if not self.rotation:
             return f"D{self.m}"
-        if self.m == 1:
+        if self == theta_group():
             return "theta"
         return f"D{self.m}@{self.rotation}"
 
-    def homology_factors(self):
-        """The list of g_* for g in G; each entry is 'id' or 'theta'."""
-        if self.kind == "cyclic":
-            return ("id",) * self.m
-        return ("id",) * self.m + ("theta",) * self.m
-
 
 def cyclic(m: int) -> Subgroup:
-    return Subgroup("cyclic", m)
+    return Subgroup(m, False)
 
 
 def dihedral(m: int) -> Subgroup:
-    return Subgroup("dihedral", m)
+    return Subgroup(m, True)
 
 
 def conjugate_dihedral(m: int, rotation) -> Subgroup:
-    return Subgroup("conjugate_dihedral", m, Fraction(rotation))
+    return Subgroup(m, True, rotation)
 
 
 def theta_group() -> Subgroup:
-    """The order-2 group generated by the basepoint-moving reflection."""
-    return conjugate_dihedral(1, Fraction(1, 2))
+    """The order-2 group generated by the basepoint-moving reflection t -> 1/2 - t."""
+    return Subgroup(1, True, Fraction(1, 2))
 
 
 def homology_action(group: Subgroup, space: Space) -> LinearMap:
     """The action of any reflection of G on homology (identity if none)."""
-    from .maps import chi_star
-
     if group.has_reflections:
         return theta_star(space)
     return chi_star(space)
@@ -157,10 +156,17 @@ class Quotient:
         return self.group.order * rep
 
     def action_sum(self, elt: Element) -> Element:
-        """sum_{g in G} g_*(elt), by explicit enumeration of the elements."""
+        """sum_{g in G} g_*(elt), by explicit enumeration of the elements.
+
+        The m rotations act as the identity; the m reflections, if any, act
+        by loop reversal.
+        """
+        images = [elt] * self.group.m
+        if self.group.reflections:
+            images += [self.action(elt)] * self.group.m
         total = self.space.algebra.zero()
-        for g in self.group.homology_factors():
-            total = total + (self.action(elt) if g == "theta" else elt)
+        for image in images:
+            total = total + image
         return total
 
     # -- the transfer product --------------------------------------------
@@ -204,26 +210,9 @@ class Quotient:
         ]
 
     def betti(self, max_degree: int) -> BettiTable:
-        if max_degree < 0:
-            raise DomainError(f"max_degree must be >= 0, got {max_degree}")
-        rows = []
-        for d in range(max_degree + 1):
-            monos = self.invariants(d)
-            if not monos:
-                continue
-            gens = tuple(
-                f"q({self.space.algebra.monomial_str(m)})" for m in monos
-            )
-            families = {self.space.family_of(m) for m in monos}
-            family = families.pop() if len(families) == 1 else None
-            rows.append(TableRow(d, len(monos), (), gens, family))
-        return BettiTable(
-            self.space.kind,
-            self.space.n,
-            self.space.ring,
-            self.group.label,
-            max_degree,
-            tuple(rows),
+        monomial_str = self.space.algebra.monomial_str
+        return self.space.table(
+            max_degree, lambda d: (self.invariants(d), []), self.group.label, lambda m: f"q({monomial_str(m)})"
         )
 
     def __repr__(self):
@@ -233,7 +222,7 @@ class Quotient:
 class QElement:
     """A quotient-homology class, stored by its invariant representative.
 
-    `*` is the transfer product P_G and `**` iterates it (the 0th power is
+    `*` is the transfer product P_G and `**` its power (the 0th power is
     the transfer unit).  Addition and scalar multiplication are inherited
     from representatives.
     """
@@ -244,9 +233,12 @@ class QElement:
         self.quotient = quotient
         self.rep = rep
 
-    def _check_same(self, other: "QElement"):
+    def _combine(self, other, op):
+        if not isinstance(other, QElement):
+            return NotImplemented
         if self.quotient is not other.quotient:
             raise StructureError("cannot combine classes on different quotients")
+        return QElement(self.quotient, op(self.rep, other.rep))
 
     def __bool__(self):
         return bool(self.rep)
@@ -267,16 +259,10 @@ class QElement:
         }
 
     def __add__(self, other):
-        if not isinstance(other, QElement):
-            return NotImplemented
-        self._check_same(other)
-        return QElement(self.quotient, self.rep + other.rep)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        if not isinstance(other, QElement):
-            return NotImplemented
-        self._check_same(other)
-        return QElement(self.quotient, self.rep - other.rep)
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
         return QElement(self.quotient, -self.rep)
@@ -284,27 +270,22 @@ class QElement:
     def __mul__(self, other):
         if isinstance(other, QElement):
             return self.quotient.product(self, other)
-        if isinstance(other, (int, Fraction)):
+        if is_scalar(other):
             return QElement(self.quotient, self.rep * other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_scalar(other):
             return self * other
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_scalar(other):
             return QElement(self.quotient, self.rep / other)
         return NotImplemented
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise DomainError(f"exponent must be a natural number, got {k!r}")
-        out = self.quotient.unit()
-        for _ in range(k):
-            out = self.quotient.product(out, self)
-        return out
+        return power(self, k, self.quotient.unit, self.quotient.product)
 
     def __eq__(self, other):
         if not isinstance(other, QElement):
@@ -315,21 +296,8 @@ class QElement:
         return hash((id(self.quotient), self.rep))
 
     def __str__(self):
-        if not self.rep:
-            return "0"
         alg = self.rep.algebra
-        chunks = []
-        for mono, coeff in self.rep.sorted_terms():
-            negative = coeff < 0
-            mag = -coeff if negative else coeff
-            body = f"q({alg.monomial_str(mono)})"
-            if mag != 1:
-                body = f"{scalar_str(mag)}*{body}"
-            if not chunks:
-                chunks.append("-" + body if negative else body)
-            else:
-                chunks.append((" - " if negative else " + ") + body)
-        return "".join(chunks)
+        return self.rep.format_terms(lambda mono, mag: scaled_str(mag, f"q({alg.monomial_str(mono)})"))
 
     def __repr__(self):
         return f"<{self} on {self.quotient!r}>"
@@ -377,16 +345,13 @@ def a_product(variant: str, q: Quotient, a: QElement, b: QElement) -> QElement:
     the remaining cases it agrees with the transfer product up to the sign
     (-1)^{n(n-j)}, j = deg b.
     """
-    if variant not in ("vartheta", "theta"):
+    group = {"vartheta": dihedral(1), "theta": theta_group()}.get(variant)
+    if group is None:
         raise DomainError(f"unknown A-product variant {variant!r}")
     if q.space.kind != LOOP:
         raise DomainError("A-products live on loop quotients")
-    if variant == "vartheta":
-        if not (q.group.kind == "dihedral" and q.group.m == 1):
-            raise DomainError("the vartheta A-product needs the D1 quotient")
-    else:
-        if not (q.group.kind == "conjugate_dihedral" and q.group.m == 1):
-            raise DomainError("the theta A-product needs the theta quotient")
+    if q.group != group:
+        raise DomainError(f"the {variant} A-product needs the {group.label} quotient")
     if a.quotient is not q or b.quotient is not q:
         raise StructureError("A-product arguments live on a different quotient")
     if not b:

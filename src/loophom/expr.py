@@ -19,6 +19,7 @@ Fraction), algebra `Element`s, or quotient `QElement`s.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -258,6 +259,14 @@ FUNCTION_ARITY = {
 }
 
 
+# one-argument structure maps: name -> (map constructor, source space)
+STRUCTURE_MAPS = {
+    "jshriek": (j_shriek, loop_space),
+    "jstar": (j_star, based_loop_space),
+    "ev": (ev_star, loop_space),
+}
+
+
 class EvalContext:
     """The flag-selected space (and quotient, when a group is given)."""
 
@@ -339,18 +348,9 @@ class Evaluator:
                 if isinstance(value, Element) and value.algebra is space.algebra:
                     return theta_star(space)(value)
             raise DomainError("theta(...) expects a loop or omega class")
-        if fn == "jshriek":
-            return j_shriek(n, ring)(
-                self._element_in(args[0], loop_space(n, ring), fn)
-            )
-        if fn == "jstar":
-            return j_star(n, ring)(
-                self._element_in(args[0], based_loop_space(n, ring), fn)
-            )
-        if fn == "ev":
-            return ev_star(n, ring)(
-                self._element_in(args[0], loop_space(n, ring), fn)
-            )
+        if fn in STRUCTURE_MAPS:
+            make_map, source = STRUCTURE_MAPS[fn]
+            return make_map(n, ring)(self._element_in(args[0], source(n, ring), fn))
 
         # two-argument products on quotients
         a, b = args
@@ -378,19 +378,16 @@ class Evaluator:
     # -- operators -------------------------------------------------------
 
     def _add_like(self, node: Bin, lv, rv):
+        op = operator.add if node.op == "+" else operator.sub
         # scalars act as multiples of the ambient unit when mixed with classes
         if isinstance(lv, (int, Fraction)) and isinstance(rv, Element):
             lv = rv.algebra.unit() * lv
         if isinstance(rv, (int, Fraction)) and isinstance(lv, Element):
             rv = lv.algebra.unit() * rv
         if isinstance(lv, (int, Fraction)) and isinstance(rv, (int, Fraction)):
-            return _as_int(Fraction(lv) + Fraction(rv)) if node.op == "+" else _as_int(
-                Fraction(lv) - Fraction(rv)
-            )
-        if isinstance(lv, Element) and isinstance(rv, Element):
-            return lv + rv if node.op == "+" else lv - rv
-        if isinstance(lv, QElement) and isinstance(rv, QElement):
-            return lv + rv if node.op == "+" else lv - rv
+            return _as_int(op(Fraction(lv), Fraction(rv)))
+        if type(lv) is type(rv) and isinstance(lv, (Element, QElement)):
+            return op(lv, rv)
         raise DomainError(
             f"cannot {'add' if node.op == '+' else 'subtract'} "
             f"{_kind_name(lv)} and {_kind_name(rv)}"
@@ -460,14 +457,12 @@ def values_equal(a, b) -> bool:
     The zero quotient class also prints as "0", so scalar zero compares
     equal to it; no nonzero scalar names a quotient class.
     """
+    if isinstance(b, (int, Fraction)):
+        a, b = b, a  # a scalar, if any, comes first
     if isinstance(a, (int, Fraction)) and isinstance(b, Element):
         return b == b.algebra.unit() * a
-    if isinstance(b, (int, Fraction)) and isinstance(a, Element):
-        return a == a.algebra.unit() * b
     if isinstance(a, (int, Fraction)) and isinstance(b, QElement):
         return a == 0 and not b
-    if isinstance(b, (int, Fraction)) and isinstance(a, QElement):
-        return b == 0 and not a
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) == Fraction(b)
     return a == b

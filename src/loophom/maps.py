@@ -21,8 +21,8 @@
   powers go to A*U^{2r} (n odd) and to the torsion class A*Theta^r (n even,
   so they vanish over Q).
 
-`verify_gysin_relations` in the verify module checks the three compatibility
-identities tying these together.
+`suite_gysin` in the verify module checks the three compatibility identities
+tying these together.
 """
 
 from __future__ import annotations

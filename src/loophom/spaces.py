@@ -89,26 +89,26 @@ class Space:
 
     def betti(self, max_degree: int) -> "BettiTable":
         """Ranks and torsion in degrees 0..max_degree, nonzero rows only."""
+        return self.table(max_degree, self.algebra.graded_piece, None, self.algebra.monomial_str)
+
+    def table(self, max_degree: int, piece, group, name) -> "BettiTable":
+        """The rows of piece(d) = (free, torsion) basis monomials for d <= max_degree.
+
+        Each row lists its monomials as name(monomial) and carries their
+        common family tag, if any; `group` labels a quotient's table.
+        """
         if max_degree < 0:
             raise DomainError(f"max_degree must be >= 0, got {max_degree}")
         rows = []
         for d in range(max_degree + 1):
-            free, torsion = self.algebra.graded_piece(d)
+            free, torsion = piece(d)
             if not free and not torsion:
                 continue
-            gens = tuple(self.algebra.monomial_str(m) for m in free + torsion)
             families = {self.family_of(m) for m in free + torsion}
             family = families.pop() if len(families) == 1 else None
-            rows.append(
-                TableRow(
-                    degree=d,
-                    rank=len(free),
-                    torsion=(2,) * len(torsion),
-                    generators=gens,
-                    family=family,
-                )
-            )
-        return BettiTable(self.kind, self.n, self.ring, None, max_degree, tuple(rows))
+            gens = tuple(name(m) for m in free + torsion)
+            rows.append(TableRow(d, len(free), (2,) * len(torsion), gens, family))
+        return BettiTable(self.kind, self.n, self.ring, group, max_degree, tuple(rows))
 
     def __repr__(self):
         return f"Space({self.kind}, n={self.n}, ring={self.ring})"

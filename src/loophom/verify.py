@@ -8,19 +8,22 @@ with stable, printable lines and an overall verdict.
 
 Default bounds: product identities up to total degree 60, transfer axioms
 and stability/bijectivity sweeps up to degree 100, powers of nonnilpotent
-classes up to 25, reversal signs on Pontrjagin powers up to 40.
+classes up to 25, reversal signs on Pontrjagin powers up to 40.  `run`
+resolves the degree and power bounds; each suite takes them as given.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, islice, repeat
 
 from .core import DomainError, Element, RING_Q, RING_Z
 from .equivariant import (
     QElement,
     Quotient,
-    Subgroup,
     a_product,
     cyclic,
     dihedral,
@@ -45,20 +48,6 @@ SWEEP_BOUND = 100
 POWER_BOUND = 25
 REVERSAL_POWER_BOUND = 40
 TORSION_POWER_BOUND = 20
-
-SUITE_NAMES = (
-    "algebra",
-    "presentation",
-    "maps",
-    "gysin",
-    "transfer",
-    "quotient-product",
-    "main-theorem",
-    "theta-vs-vartheta",
-    "a-products",
-    "quotient-homs",
-)
-
 
 @dataclass
 class Check:
@@ -102,31 +91,73 @@ def rank_of(elements, monomials) -> int:
     rows = [[Fraction(e.coefficient(m)) for m in cols] for e in elements]
     rank = 0
     for col in range(len(cols)):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
-                factor = rows[r][col]
+                factor = rows[r][col] / rows[rank][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
 
-def monomials_up_to(algebra, bound: int):
-    """[(degree, monomial)] for every basis monomial of degree <= bound."""
-    out = []
-    for d in range(bound + 1):
-        for m in algebra.basis(d):
-            out.append((d, m))
-    return out
+# ----------------------------------------------------------------------
+# the search: cases, the first counterexample, and the check it becomes
+# ----------------------------------------------------------------------
+
+
+def _first_failure(cases, fails):
+    """The first truthy fails(*case) over `cases`, a counterexample's detail string, or None."""
+    for case in cases:
+        detail = fails(*case)
+        if detail:
+            return detail
+    return None
+
+
+def _check(label: str, cases, fails) -> Check:
+    """The check `label`, carrying the first counterexample among `cases`."""
+    detail = _first_failure(cases, fails)
+    return Check(label, detail is None, detail or "")
+
+
+def _graded(source, bound: int) -> list:
+    """[(degree, x)] for degrees <= bound: a `Quotient`'s basis classes or an `Algebra`'s basis elements."""
+    make = (lambda b: b) if isinstance(source, Quotient) else source.monomial_element
+    return [(d, make(b)) for d in range(bound + 1) for b in source.basis(d)]
+
+
+def _pairs(items, bound: int, others=None):
+    """(dx, x, dy, y) for x in items, y in others (default items), dx + dy <= bound.
+
+    Both lists are sorted by degree, so each scan over y stops at the bound.
+    """
+    for dx, x in items:
+        for dy, y in items if others is None else others:
+            if dx + dy > bound:
+                break
+            yield dx, x, dy, y
+
+
+def _triples(items, bound: int, pair_op):
+    """(x, y, z, pair_op(x, y)) with degrees summing to <= bound; pair_op runs once per pair."""
+    for dx, x, dy, y in _pairs(items, bound):
+        xy = pair_op(x, y)
+        for dz, z in items:
+            if dx + dy + dz > bound:
+                break
+            yield x, y, z, xy
+
+
+def _powers(x, k_max: int, one, mul=operator.mul):
+    """(k, x^k) for k = 0..k_max, each power one product after the last."""
+    return enumerate(accumulate(repeat(x, k_max), mul, initial=one))
+
+
+def _sign(exponent: int) -> int:
+    return -1 if exponent % 2 else 1
 
 
 # ----------------------------------------------------------------------
@@ -136,200 +167,99 @@ def monomials_up_to(algebra, bound: int):
 
 def suite_algebra(n, rings, D, K):
     """Ring axioms of the products: associativity, commutation, unit, torsion."""
-    D = PRODUCT_BOUND if D is None else D
     checks = []
     for ring in rings:
         for space in (loop_space(n, ring), based_loop_space(n, ring), sphere_space(n, ring)):
             alg = space.algebra
             tag = f"{alg.label}"
-            ms = [(d, alg.monomial_element(m)) for d, m in monomials_up_to(alg, D)]
+            ms = _graded(alg, D)
             unit = alg.unit()
-
-            bad = None
-            for d, u in ms:
-                if u * unit != u or unit * u != u:
-                    bad = f"u={u}"
-                    break
-            checks.append(Check(f"{tag}: unit is two-sided on degrees <= {D}", bad is None, bad or ""))
-
-            bad = None
-            for du, u in ms:
-                for dv, v in ms:
-                    if du + dv > D:
-                        break
-                    if space.kind == "omega":
-                        # genuinely commutative polynomial ring
-                        if u * v != v * u:
-                            bad = f"u={u}, v={v}"
-                            break
-                    else:
-                        sign = -1 if ((du - n) * (dv - n)) % 2 else 1
-                        if v * u != sign * (u * v):
-                            bad = f"u={u}, v={v}"
-                            break
-                if bad:
-                    break
-            label = (
-                f"{tag}: commutativity on basis pairs, total degree <= {D}"
-                if space.kind == "omega"
-                else f"{tag}: v*u = (-1)^((deg u - n)(deg v - n)) u*v, total degree <= {D}"
-            )
-            checks.append(Check(label, bad is None, bad or ""))
-
-            bad = None
-            for du, u in ms:
-                for dv, v in ms:
-                    if du + dv > D:
-                        break
-                    uv = u * v
-                    for dw, w in ms:
-                        if du + dv + dw > D:
-                            break
-                        if uv * w != u * (v * w):
-                            bad = f"u={u}, v={v}, w={w}"
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            checks.append(
-                Check(f"{tag}: (u*v)*w = u*(v*w) on basis triples, total degree <= {D}", bad is None, bad or "")
-            )
+            checks.append(_check(f"{tag}: unit is two-sided on degrees <= {D}", ms,
+                                 lambda d, u: (u * unit != u or unit * u != u) and f"u={u}"))
+            if space.kind == "omega":
+                # genuinely commutative polynomial ring
+                checks.append(_check(f"{tag}: commutativity on basis pairs, total degree <= {D}", _pairs(ms, D),
+                                     lambda du, u, dv, v: u * v != v * u and f"u={u}, v={v}"))
+            else:
+                checks.append(_check(
+                    f"{tag}: v*u = (-1)^((deg u - n)(deg v - n)) u*v, total degree <= {D}", _pairs(ms, D),
+                    lambda du, u, dv, v: v * u != _sign((du - n) * (dv - n)) * (u * v) and f"u={u}, v={v}"))
+            checks.append(_check(
+                f"{tag}: (u*v)*w = u*(v*w) on basis triples, total degree <= {D}", _triples(ms, D, operator.mul),
+                lambda u, v, w, uv: uv * w != u * (v * w) and f"u={u}, v={v}, w={w}"))
 
     # torsion lives exactly in degrees 2r(n-1), and only over Z, n even
     if RING_Z in rings:
         alg = loop_space(n, RING_Z).algebra
-        found = {
-            d
-            for d in range(D + 1)
-            for m in alg.basis(d)
-            if alg.is_torsion_monomial(m)
-        }
-        expected = (
-            {2 * r * (n - 1) for r in range(1, D) if 2 * r * (n - 1) <= D}
-            if n % 2 == 0
-            else set()
-        )
-        ok = found == expected
-        checks.append(
-            Check(
-                f"{alg.label}: torsion exactly in degrees 2r(n-1) up to {D}",
-                ok,
-                "" if ok else f"found {sorted(found)}, expected {sorted(expected)}",
-            )
-        )
+        found = {d for d in range(D + 1) if alg.graded_piece(d)[1]}
+        expected = set(range(2 * (n - 1), D + 1, 2 * (n - 1))) if n % 2 == 0 else set()
+        checks.append(_check(f"{alg.label}: torsion exactly in degrees 2r(n-1) up to {D}", [(found, expected)],
+                             lambda f, e: f != e and f"found {sorted(f)}, expected {sorted(e)}"))
     return checks
 
 
 def suite_presentation(n, rings, D, K):
     """Generators generate, *Theta stability, nonnilpotence, torsion facts."""
-    D = PRODUCT_BOUND if D is None else D
-    K = POWER_BOUND if K is None else K
     checks = []
     for ring in rings:
         space = loop_space(n, ring)
         alg = space.algebra
         tag = alg.label
 
-        # every basis class is the stated product of named generators
-        bad = None
-        for d, m in monomials_up_to(alg, D):
-            if n % 2:
-                a, k = m
-                built = space.generator("A") ** a * space.generator("U") ** k
-            else:
-                s, a, k = m
-                built = (
-                    space.generator("sigma1") ** s
-                    * space.generator("A") ** a
-                    * space.generator("Theta") ** k
-                )
-            if built != alg.monomial_element(m):
-                bad = f"monomial {alg.monomial_str(m)} rebuilt as {built}"
-                break
+        # every basis class is the stated product of named generators, one
+        # named class per slot of the exponent vector
+        gens = [space.generator(g) for g in (("A", "U") if n % 2 else ("sigma1", "A", "Theta"))]
+
+        def rebuild_fails(m):
+            built = reduce(operator.mul, (g**e for g, e in zip(gens, m)))
+            return built != alg.monomial_element(m) and f"monomial {alg.monomial_str(m)} rebuilt as {built}"
+
         names = "A,U" if n % 2 else "A,sigma1,Theta"
-        checks.append(
-            Check(f"{tag}: every basis class <= {D} is a product of {names}", bad is None, bad or "")
-        )
+        checks.append(_check(f"{tag}: every basis class <= {D} is a product of {names}",
+                             ((m,) for d in range(D + 1) for m in alg.basis(d)), rebuild_fails))
 
         # multiplication by Theta: H_k -> H_{k+2n-2} bijective for 0<k<=D,
         # except (n odd, k=1) where H_1 = 0 yet H_{2n-1} = <U>
         theta = space.generator("Theta")
-        bad = None
-        for k in range(1, D + 1):
-            src = alg.basis(k)
-            dst = alg.basis(k + 2 * n - 2)
+
+        def bijection_fails(k, src, dst):
             if n % 2 and k == 1:
-                if src != [] or len(dst) != 1:
-                    bad = f"k=1 sharpness: H_1 basis {src}, H_{2*n-1} basis {dst}"
-                    break
-                continue
+                return (src != [] or len(dst) != 1) and f"k=1 sharpness: H_1 basis {src}, H_{2*n-1} basis {dst}"
             images = [alg.monomial_element(m) * theta for m in src]
             if any(not img for img in images):
-                bad = f"k={k}: *Theta kills a basis class"
-                break
-            hit = set()
+                return f"k={k}: *Theta kills a basis class"
             for img in images:
                 if len(img.terms) != 1:
-                    bad = f"k={k}: image not monomial: {img}"
-                    break
-                mono, coeff = next(iter(img.terms.items()))
-                if coeff not in (1, -1):
-                    bad = f"k={k}: non-unimodular image {img}"
-                    break
-                hit.add(mono)
-            if bad:
-                break
-            if hit != set(dst):
-                bad = f"k={k}: images {sorted(hit)} vs basis {dst}"
-                break
-        checks.append(
-            Check(
-                f"{tag}: *Theta is a bijection H_k -> H_(k+2n-2) for 0<k<={D} "
-                f"(k=1 sharp for n odd)",
-                bad is None,
-                bad or "",
-            )
-        )
+                    return f"k={k}: image not monomial: {img}"
+                if next(iter(img.terms.values())) not in (1, -1):
+                    return f"k={k}: non-unimodular image {img}"
+            hit = {next(iter(img.terms)) for img in images}
+            return hit != set(dst) and f"k={k}: images {sorted(hit)} vs basis {dst}"
+
+        checks.append(_check(
+            f"{tag}: *Theta is a bijection H_k -> H_(k+2n-2) for 0<k<={D} (k=1 sharp for n odd)",
+            ((k, alg.basis(k), alg.basis(k + 2 * n - 2)) for k in range(1, D + 1)), bijection_fails))
 
         # nonnilpotence
-        bad = None
-        power = alg.unit()
-        for k in range(1, K + 1):
-            power = power * theta
-            if not power:
-                bad = f"Theta^{k} = 0"
-                break
-        checks.append(Check(f"{tag}: Theta^k != 0 for k <= {K}", bad is None, bad or ""))
+        checks.append(_check(f"{tag}: Theta^k != 0 for k <= {K}", islice(_powers(theta, K, alg.unit()), 1, None),
+                             lambda k, power: not power and f"Theta^{k} = 0"))
 
         if n % 2 == 0:
             a_cls = space.generator("A")
-            bad = None
-            for k in range(1, TORSION_POWER_BOUND + 1):
-                cls = a_cls * theta**k
-                if ring == RING_Q:
-                    if cls:
-                        bad = f"A*Theta^{k} = {cls} != 0 over Q"
-                        break
-                else:
-                    if not cls:
-                        bad = f"A*Theta^{k} = 0 over Z"
-                        break
-                    if 2 * cls:
-                        bad = f"2*(A*Theta^{k}) = {2 * cls} != 0"
-                        break
-            label = (
-                f"{tag}: A*Theta^k = 0 for 1<=k<={TORSION_POWER_BOUND}"
-                if ring == RING_Q
-                else f"{tag}: A*Theta^k != 0 and 2*(A*Theta^k) = 0 for 1<=k<={TORSION_POWER_BOUND}"
-            )
-            checks.append(Check(label, bad is None, bad or ""))
+            cases = ((k, a_cls * theta**k) for k in range(1, TORSION_POWER_BOUND + 1))
+            if ring == RING_Q:
+                checks.append(_check(f"{tag}: A*Theta^k = 0 for 1<=k<={TORSION_POWER_BOUND}", cases,
+                                     lambda k, cls: bool(cls) and f"A*Theta^{k} = {cls} != 0 over Q"))
+            else:
+                checks.append(_check(
+                    f"{tag}: A*Theta^k != 0 and 2*(A*Theta^k) = 0 for 1<=k<={TORSION_POWER_BOUND}", cases,
+                    lambda k, cls: f"A*Theta^{k} = 0 over Z" if not cls
+                    else bool(2 * cls) and f"2*(A*Theta^{k}) = {2 * cls} != 0"))
     return checks
 
 
 def suite_maps(n, rings, D, K):
     """Loop reversal, chi, basepoint evaluation."""
-    D = PRODUCT_BOUND if D is None else D
     checks = []
     for ring in rings:
         loop = loop_space(n, ring)
@@ -341,108 +271,47 @@ def suite_maps(n, rings, D, K):
 
         for space, mp in ((loop, th), (omega, tho)):
             alg = space.algebra
-            bad = None
-            for d, m in monomials_up_to(alg, D):
-                u = alg.monomial_element(m)
-                if mp(mp(u)) != u:
-                    bad = f"u={u}"
-                    break
-            checks.append(
-                Check(f"{alg.label}: theta(theta(u)) = u on degrees <= {D}", bad is None, bad or "")
-            )
+            checks.append(_check(f"{alg.label}: theta(theta(u)) = u on degrees <= {D}", _graded(alg, D),
+                                 lambda d, u: mp(mp(u)) != u and f"u={u}"))
 
         alg = loop.algebra
-        ms = [(d, alg.monomial_element(m)) for d, m in monomials_up_to(alg, D)]
-        bad = None
-        for du, u in ms:
-            for dv, v in ms:
-                if du + dv > D:
-                    break
-                if th(u * v) != th(u) * th(v):
-                    bad = f"u={u}, v={v}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(f"{alg.label}: theta(u*v) = theta(u)*theta(v), total degree <= {D}", bad is None, bad or "")
-        )
+        ms = _graded(alg, D)
+        checks.append(_check(f"{alg.label}: theta(u*v) = theta(u)*theta(v), total degree <= {D}", _pairs(ms, D),
+                             lambda du, u, dv, v: th(u * v) != th(u) * th(v) and f"u={u}, v={v}"))
 
         theta_cls = loop.generator("Theta")
         want = theta_cls if (n - 1) % 2 == 0 else -theta_cls
-        ok = th(theta_cls) == want
-        checks.append(
-            Check(f"{alg.label}: theta(Theta) = (-1)^(n-1)*Theta", ok, "" if ok else f"got {th(theta_cls)}")
-        )
+        checks.append(_check(f"{alg.label}: theta(Theta) = (-1)^(n-1)*Theta", [(th(theta_cls),)],
+                             lambda got: got != want and f"got {got}"))
         ok = th(loop.generator("A")) == loop.generator("A") and th(loop.unit) == loop.unit
         checks.append(Check(f"{alg.label}: theta fixes A and E", ok, ""))
 
         chi = chi_star(loop)
-        bad = None
-        for d, u in ms:
-            if chi(u) != u:
-                bad = f"u={u}"
-                break
-        checks.append(Check(f"{alg.label}: chi = identity on degrees <= {D}", bad is None, bad or ""))
+        checks.append(_check(f"{alg.label}: chi = identity on degrees <= {D}", ms,
+                             lambda d, u: chi(u) != u and f"u={u}"))
 
         # Pontrjagin sign law and the power-sign case split
         oalg = omega.algebra
-        x = omega.generator("x")
         kmax = max(REVERSAL_POWER_BOUND, D // max(1, n - 1))
-        powers = [oalg.unit()]
-        for k in range(1, kmax + 1):
-            powers.append(powers[-1] * x)
-        bad = None
-        for i in range(kmax + 1):
-            for j in range(kmax + 1 - i):
-                a, b = powers[i], powers[j]
-                sign = -1 if (i * (n - 1) * j * (n - 1)) % 2 else 1
-                if sign * (tho(a) * tho(b)) != tho(a * b):
-                    bad = f"a=x^{i}, b=x^{j}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(
-                f"{oalg.label}: (-1)^(|a||b|) theta(a)*theta(b) = theta(a*b), powers <= {kmax}",
-                bad is None,
-                bad or "",
-            )
-        )
+        powers = list(_powers(omega.generator("x"), kmax, oalg.unit()))
+        checks.append(_check(
+            f"{oalg.label}: (-1)^(|a||b|) theta(a)*theta(b) = theta(a*b), powers <= {kmax}", _pairs(powers, kmax),
+            lambda i, a, j, b: _sign(i * (n - 1) * j * (n - 1)) * (tho(a) * tho(b)) != tho(a * b)
+            and f"a=x^{i}, b=x^{j}"))
 
-        bad = None
-        for k in range(REVERSAL_POWER_BOUND + 1):
-            if n % 2 or ((k - 1) * k) % 4 == 0:
-                expected = -1 if k % 2 else 1
-            else:
-                expected = 1 if k % 2 else -1
-            if tho(powers[k]) != expected * powers[k]:
-                bad = f"k={k}: theta(x^{k}) = {tho(powers[k])}, expected sign {expected}"
-                break
-            if reversal_power_sign(n, k) != expected:
-                bad = f"k={k}: closed-form sign disagrees with case split"
-                break
-        checks.append(
-            Check(
-                f"{oalg.label}: theta(x^k) sign matches the parity case split, k <= {REVERSAL_POWER_BOUND}",
-                bad is None,
-                bad or "",
-            )
-        )
+        def sign_fails(k, power):
+            expected = _sign(k) if n % 2 or ((k - 1) * k) % 4 == 0 else -_sign(k)
+            if tho(power) != expected * power:
+                return f"k={k}: theta(x^{k}) = {tho(power)}, expected sign {expected}"
+            return reversal_power_sign(n, k) != expected and f"k={k}: closed-form sign disagrees with case split"
+
+        checks.append(_check(
+            f"{oalg.label}: theta(x^k) sign matches the parity case split, k <= {REVERSAL_POWER_BOUND}",
+            powers[: REVERSAL_POWER_BOUND + 1], sign_fails))
 
         # evaluation at the basepoint is an algebra map
-        bad = None
-        for du, u in ms:
-            for dv, v in ms:
-                if du + dv > D:
-                    break
-                if ev(u * v) != ev(u) * ev(v):
-                    bad = f"u={u}, v={v}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(f"{alg.label}: ev(u*v) = ev(u).ev(v), total degree <= {D}", bad is None, bad or "")
-        )
+        checks.append(_check(f"{alg.label}: ev(u*v) = ev(u).ev(v), total degree <= {D}", _pairs(ms, D),
+                             lambda du, u, dv, v: ev(u * v) != ev(u) * ev(v) and f"u={u}, v={v}"))
         ok = ev(loop.generator("A")) == sphere.generator("pt") and ev(loop.unit) == sphere.unit
         checks.append(Check(f"{alg.label}: ev(A) = pt, ev(E) = fundamental", ok, ""))
     return checks
@@ -450,7 +319,6 @@ def suite_maps(n, rings, D, K):
 
 def suite_gysin(n, rings, D, K):
     """The three compatibility identities for j_! and j_*."""
-    D = PRODUCT_BOUND if D is None else D
     checks = []
     for ring in rings:
         loop = loop_space(n, ring)
@@ -458,40 +326,17 @@ def suite_gysin(n, rings, D, K):
         jb = j_shriek(n, ring)
         js = j_star(n, ring)
         tag = f"S^{n}({ring})"
-        lms = [(d, loop.algebra.monomial_element(m)) for d, m in monomials_up_to(loop.algebra, D)]
-        oms = [(d, omega.algebra.monomial_element(m)) for d, m in monomials_up_to(omega.algebra, D)]
-
-        bad = None
-        for du, u in lms:
-            for dv, v in lms:
-                if du + dv > D:
-                    break
-                if jb(u * v) != jb(u) * jb(v):
-                    bad = f"u={u}, v={v}"
-                    break
-            if bad:
-                break
-        checks.append(Check(f"{tag}: j!(u*v) = j!(u).j!(v), total degree <= {D}", bad is None, bad or ""))
-
-        bad = None
-        for dy, y in oms:
-            for da, a in lms:
-                if dy + da > D:
-                    break
-                if js(y) * a != js(y * jb(a)):
-                    bad = f"y={y}, a={a}"
-                    break
-            if bad:
-                break
-        checks.append(Check(f"{tag}: j*(y)*a = j*(y.j!(a)), total degree <= {D}", bad is None, bad or ""))
-
+        lms = _graded(loop.algebra, D)
+        oms = _graded(omega.algebra, D)
         a_cls = loop.generator("A")
-        bad = None
-        for da, a in lms:
-            if js(jb(a)) != a_cls * a:
-                bad = f"a={a}"
-                break
-        checks.append(Check(f"{tag}: j*(j!(a)) = A*a on degrees <= {D}", bad is None, bad or ""))
+        checks += [
+            _check(f"{tag}: j!(u*v) = j!(u).j!(v), total degree <= {D}", _pairs(lms, D),
+                   lambda du, u, dv, v: jb(u * v) != jb(u) * jb(v) and f"u={u}, v={v}"),
+            _check(f"{tag}: j*(y)*a = j*(y.j!(a)), total degree <= {D}", _pairs(oms, D, lms),
+                   lambda dy, y, da, a: js(y) * a != js(y * jb(a)) and f"y={y}, a={a}"),
+            _check(f"{tag}: j*(j!(a)) = A*a on degrees <= {D}", lms,
+                   lambda da, a: js(jb(a)) != a_cls * a and f"a={a}"),
+        ]
 
         x = omega.generator("x")
         spot = jb(loop.unit) == omega.unit and js(omega.unit) == a_cls
@@ -502,201 +347,82 @@ def suite_gysin(n, rings, D, K):
     return checks
 
 
-def _transfer_groups():
-    groups = [dihedral(m) for m in range(1, 6)]
-    groups.append(theta_group())
-    groups += [cyclic(m) for m in range(2, 8)]
-    return groups
+TRANSFER_GROUPS = (*(dihedral(m) for m in range(1, 6)), theta_group(), *(cyclic(m) for m in range(2, 8)))
 
 
 def suite_transfer(n, rings, D, K):
     """The transfer axioms and the quotient/covering product comparison."""
-    D = SWEEP_BOUND if D is None else D
     checks = []
     loop = loop_space(n, RING_Q)
     alg = loop.algebra
-    all_ms = monomials_up_to(alg, D)
-    for group in _transfer_groups():
+    zs = _graded(alg, D)
+    for group in TRANSFER_GROUPS:
         q = quotient(loop, group)
         order = group.order
-        tag = f"LS^{n}/{group.label}"
-
-        bad = None
-        for d in range(D + 1):
-            for a in q.basis(d):
-                if q.project(q.transfer(a)) != order * a:
-                    bad = f"a={a}"
-                    break
-            if bad:
-                break
-        checks.append(Check(f"{tag}: q(tr(a)) = |G|*a on degrees <= {D}", bad is None, bad or ""))
-
-        bad = None
-        for d, m in all_ms:
-            z = alg.monomial_element(m)
-            if q.transfer(q.project(z)) != q.action_sum(z):
-                bad = f"z={z}"
-                break
-        checks.append(
-            Check(f"{tag}: tr(q(z)) = sum_g g(z) on degrees <= {D}", bad is None, bad or "")
-        )
-
-        bad = None
-        for d in range(D + 1):
-            for m in q.invariants(d):
-                z = alg.monomial_element(m)
-                if q.project(z).rep != z:
-                    bad = f"z={z}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(f"{tag}: q is injective on invariants (projection fixes them), degrees <= {D}", bad is None, bad or "")
-        )
-
-        qms = [(d, b) for d in range(D + 1) for b in q.basis(d)]
-        bad = None
-        for da, a in qms:
-            for db, b in qms:
-                if da + db > D:
-                    break
-                if q.transfer(q.product(a, b)) != order * (q.transfer(a) * q.transfer(b)):
-                    bad = f"a={a}, b={b}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(f"{tag}: tr(P(a,b)) = |G|*tr(a)*tr(b), total degree <= {D}", bad is None, bad or "")
-        )
-
         scale = Fraction(1, order**2)
-        bad = None
-        for da, a in qms:
-            for db, b in qms:
-                if da + db > D:
-                    break
-                if q.project(a.rep * b.rep) != scale * q.product(a, b):
-                    bad = f"x={a.rep}, y={b.rep}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(
-                f"{tag}: q(x*y) = |G|^-2 P(q(x),q(y)) for invariant x,y, total degree <= {D}",
-                bad is None,
-                bad or "",
-            )
-        )
-
-        if group.kind == "cyclic":
-            bad = None
-            for d in range(D + 1):
-                if q.invariants(d) != alg.basis(d):
-                    bad = f"degree {d}"
-                    break
-            checks.append(
-                Check(f"{tag}: rotations leave every class invariant, degrees <= {D}", bad is None, bad or "")
-            )
+        tag = f"LS^{n}/{group.label}"
+        qms = _graded(q, D)
+        checks += [
+            _check(f"{tag}: q(tr(a)) = |G|*a on degrees <= {D}", qms,
+                   lambda d, a: q.project(q.transfer(a)) != order * a and f"a={a}"),
+            _check(f"{tag}: tr(q(z)) = sum_g g(z) on degrees <= {D}", zs,
+                   lambda d, z: q.transfer(q.project(z)) != q.action_sum(z) and f"z={z}"),
+            _check(f"{tag}: q is injective on invariants (projection fixes them), degrees <= {D}", qms,
+                   lambda d, a: q.project(a.rep).rep != a.rep and f"z={a.rep}"),
+            _check(f"{tag}: tr(P(a,b)) = |G|*tr(a)*tr(b), total degree <= {D}", _pairs(qms, D),
+                   lambda da, a, db, b: q.transfer(q.product(a, b)) != order * (q.transfer(a) * q.transfer(b))
+                   and f"a={a}, b={b}"),
+            _check(f"{tag}: q(x*y) = |G|^-2 P(q(x),q(y)) for invariant x,y, total degree <= {D}", _pairs(qms, D),
+                   lambda da, a, db, b: q.project(a.rep * b.rep) != scale * q.product(a, b)
+                   and f"x={a.rep}, y={b.rep}"),
+        ]
+        if not group.has_reflections:
+            checks.append(_check(f"{tag}: rotations leave every class invariant, degrees <= {D}",
+                                 ((d, q.invariants(d), alg.basis(d)) for d in range(D + 1)),
+                                 lambda d, fixed, every: fixed != every and f"degree {d}"))
 
     # unscaled products on dihedral quotients do not depend on m
     base = quotient(loop, dihedral(1))
     pair_bound = min(D, PRODUCT_BOUND)
     qms = [(d, m) for d in range(pair_bound + 1) for m in base.invariants(d)]
-    bad = None
-    for m in range(2, 6):
+    scale_1 = Fraction(1, dihedral(1).order ** 2)
+
+    def unscaled_fails(m, da, ma, db, mb):
         qm = quotient(loop, dihedral(m))
-        scale_1 = Fraction(1, dihedral(1).order ** 2)
-        scale_m = Fraction(1, dihedral(m).order ** 2)
-        for da, ma in qms:
-            for db, mb in qms:
-                if da + db > pair_bound:
-                    break
-                a1 = base.project(alg.monomial_element(ma))
-                b1 = base.project(alg.monomial_element(mb))
-                am = qm.project(alg.monomial_element(ma))
-                bm = qm.project(alg.monomial_element(mb))
-                lhs = (scale_1 * base.product(a1, b1)).rep
-                rhs = (scale_m * qm.product(am, bm)).rep
-                if lhs != rhs:
-                    bad = f"m={m}, x={ma}, y={mb}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(
-        Check(
-            f"LS^{n}/D_m: unscaled transfer products agree for m in 1..5, total degree <= {pair_bound}",
-            bad is None,
-            bad or "",
-        )
-    )
+        x, y = alg.monomial_element(ma), alg.monomial_element(mb)
+        lhs = (scale_1 * base.product(base.project(x), base.project(y))).rep
+        rhs = (Fraction(1, dihedral(m).order ** 2) * qm.product(qm.project(x), qm.project(y))).rep
+        return lhs != rhs and f"m={m}, x={ma}, y={mb}"
+
+    checks.append(_check(
+        f"LS^{n}/D_m: unscaled transfer products agree for m in 1..5, total degree <= {pair_bound}",
+        ((m, *pair) for m in range(2, 6) for pair in _pairs(qms, pair_bound)), unscaled_fails))
     return checks
 
 
 def suite_quotient_product(n, rings, D, K):
     """Ring axioms of the transfer product on quotient homology."""
-    D = PRODUCT_BOUND if D is None else D
     checks = []
     loop = loop_space(n, RING_Q)
     for group in (dihedral(1), dihedral(2), theta_group(), cyclic(3)):
         q = quotient(loop, group)
         tag = f"LS^{n}/{group.label}"
-        qms = [(d, b) for d in range(D + 1) for b in q.basis(d)]
+        qms = _graded(q, D)
         e = q.unit()
-
-        bad = None
-        for d, a in qms:
-            if q.product(e, a) != a or q.product(a, e) != a:
-                bad = f"a={a}"
-                break
-        checks.append(Check(f"{tag}: P(e,a) = a = P(a,e) on degrees <= {D}", bad is None, bad or ""))
-
-        bad = None
-        for da, a in qms:
-            for db, b in qms:
-                if da + db > D:
-                    break
-                sign = -1 if ((da - n) * (db - n)) % 2 else 1
-                if q.product(b, a) != sign * q.product(a, b):
-                    bad = f"a={a}, b={b}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(
-                f"{tag}: P(b,a) = (-1)^((deg a - n)(deg b - n)) P(a,b), total degree <= {D}",
-                bad is None,
-                bad or "",
-            )
-        )
-
-        bad = None
-        for da, a in qms:
-            for db, b in qms:
-                if da + db > D:
-                    break
-                ab = q.product(a, b)
-                for dc, c in qms:
-                    if da + db + dc > D:
-                        break
-                    if q.product(ab, c) != q.product(a, q.product(b, c)):
-                        bad = f"a={a}, b={b}, c={c}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(f"{tag}: P(P(a,b),c) = P(a,P(b,c)), total degree <= {D}", bad is None, bad or "")
-        )
+        checks += [
+            _check(f"{tag}: P(e,a) = a = P(a,e) on degrees <= {D}", qms,
+                   lambda d, a: (q.product(e, a) != a or q.product(a, e) != a) and f"a={a}"),
+            _check(f"{tag}: P(b,a) = (-1)^((deg a - n)(deg b - n)) P(a,b), total degree <= {D}", _pairs(qms, D),
+                   lambda da, a, db, b: q.product(b, a) != _sign((da - n) * (db - n)) * q.product(a, b)
+                   and f"a={a}, b={b}"),
+            _check(f"{tag}: P(P(a,b),c) = P(a,P(b,c)), total degree <= {D}", _triples(qms, D, q.product),
+                   lambda a, b, c, ab: q.product(ab, c) != q.product(a, q.product(b, c)) and f"a={a}, b={b}, c={c}"),
+        ]
     return checks
 
 
 def suite_main_theorem(n, rings, D, K):
     """Nonnilpotent quotient classes span their degrees; P(.,class) is bijective."""
-    D = SWEEP_BOUND if D is None else D
-    K = POWER_BOUND if K is None else K
     checks = []
     loop = loop_space(n, RING_Q)
     q = quotient(loop, dihedral(1))
@@ -705,172 +431,88 @@ def suite_main_theorem(n, rings, D, K):
     else:
         cls, cls_name, stride, start = eta_class(q), "eta", 4, 1
 
-    bad = None
-    power = q.unit()
-    for k in range(1, K + 1):
-        power = q.product(power, cls)
+    def power_fails(k, power):
         if not power:
-            bad = f"{cls_name}^{k} = 0"
-            break
+            return f"{cls_name}^{k} = 0"
         d = stride * k * (n - 1) + n
         monos = q.invariants(d)
         if len(monos) != 1:
-            bad = f"H_{d} has rank {len(monos)}, expected 1"
-            break
-        if set(power.rep.terms) != {monos[0]}:
-            bad = f"{cls_name}^{k} = {power} does not span H_{d}"
-            break
-    checks.append(
-        Check(
-            f"LS^{n}/D1: {cls_name}^k != 0 and spans H_({stride}k(n-1)+n) for k <= {K}",
-            bad is None,
-            bad or "",
-        )
-    )
+            return f"H_{d} has rank {len(monos)}, expected 1"
+        return set(power.rep.terms) != {monos[0]} and f"{cls_name}^{k} = {power} does not span H_{d}"
+
+    checks.append(_check(f"LS^{n}/D1: {cls_name}^k != 0 and spans H_({stride}k(n-1)+n) for k <= {K}",
+                         islice(_powers(cls, K, q.unit(), q.product), 1, None), power_fails))
 
     shift = cls.degree() - n
-    bad = None
-    for i in range(start, D + 1):
-        src = q.basis(i)
-        dst = q.invariants(i + shift)
+
+    def pairing_fails(i, src, dst):
         images = [q.product(a, cls).rep for a in src]
-        if len(src) != len(dst) or rank_of(images, dst) != len(dst):
-            bad = f"degree {i}: dim src {len(src)}, dim dst {len(dst)}, rank {rank_of(images, dst)}"
-            break
-    span = f"{start} <= i <= {D}" if start == 0 else f"{start - 1} < i <= {D}"
-    checks.append(
-        Check(
-            f"LS^{n}/D1: P(., {cls_name}) bijective H_i -> H_(i+{shift}) for {span}",
-            bad is None,
-            bad or "",
+        return (len(src) != len(dst) or rank_of(images, dst) != len(dst)) and (
+            f"degree {i}: dim src {len(src)}, dim dst {len(dst)}, rank {rank_of(images, dst)}"
         )
-    )
+
+    span = f"{start} <= i <= {D}" if start == 0 else f"{start - 1} < i <= {D}"
+    checks.append(_check(f"LS^{n}/D1: P(., {cls_name}) bijective H_i -> H_(i+{shift}) for {span}",
+                         ((i, q.basis(i), q.invariants(i + shift)) for i in range(start, D + 1)), pairing_fails))
 
     if n % 2 == 0:
         a_q = q.project(loop.generator("A"))
-        ok = bool(a_q) and not q.product(a_q, cls)
-        checks.append(
-            Check(
-                f"LS^{n}/D1: the degree-0 exclusion is sharp (q(A) != 0, P(q(A),eta) = 0)",
-                ok,
-                "" if ok else f"q(A)={a_q}, P={q.product(a_q, cls)}",
-            )
-        )
+        checks.append(_check(f"LS^{n}/D1: the degree-0 exclusion is sharp (q(A) != 0, P(q(A),eta) = 0)",
+                             [(a_q, q.product(a_q, cls))], lambda a, p: (not a or p) and f"q(A)={a}, P={p}"))
     return checks
 
 
 def suite_theta_vs_vartheta(n, rings, D, K):
     """The two reflection quotients carry identified transfer algebras."""
-    D = PRODUCT_BOUND if D is None else D
-    checks = []
     loop = loop_space(n, RING_Q)
     qv = quotient(loop, dihedral(1))
     qt = quotient(loop, theta_group())
     chi = chi_star(loop)
     tag = f"LS^{n}: vartheta vs theta"
 
-    bad = None
-    for d in range(D + 1):
-        if qv.invariants(d) != qt.invariants(d):
-            bad = f"degree {d}"
-            break
-    checks.append(Check(f"{tag}: identical invariants on degrees <= {D}", bad is None, bad or ""))
-
-    def f(a: QElement) -> QElement:
+    def to_theta(a: QElement) -> QElement:
         return QElement(qt, chi(a.rep))
 
-    qms = [(d, b) for d in range(D + 1) for b in qv.basis(d)]
-    bad = None
-    for da, a in qms:
-        for db, b in qms:
-            if da + db > D:
-                break
-            if f(qv.product(a, b)) != qt.product(f(a), f(b)):
-                bad = f"a={a}, b={b}"
-                break
-        if bad:
-            break
-    checks.append(
-        Check(f"{tag}: chi intertwines P_vartheta and P_theta, total degree <= {D}", bad is None, bad or "")
-    )
-
-    ok = f(qv.unit()) == qt.unit()
+    checks = [
+        _check(f"{tag}: identical invariants on degrees <= {D}",
+               ((d, qv.invariants(d), qt.invariants(d)) for d in range(D + 1)),
+               lambda d, v, t: v != t and f"degree {d}"),
+        _check(f"{tag}: chi intertwines P_vartheta and P_theta, total degree <= {D}", _pairs(_graded(qv, D), D),
+               lambda da, a, db, b: to_theta(qv.product(a, b)) != qt.product(to_theta(a), to_theta(b))
+               and f"a={a}, b={b}"),
+    ]
+    ok = to_theta(qv.unit()) == qt.unit()
     if n % 2:
-        ok = ok and f(mu_class(qv)) == mu_class(qt)
+        ok = ok and to_theta(mu_class(qv)) == mu_class(qt)
     checks.append(Check(f"{tag}: units (and mu for n odd) correspond", ok, ""))
     return checks
 
 
 def suite_a_products(n, rings, D, K):
     """The geometric class-A products against the transfer products."""
-    D = PRODUCT_BOUND if D is None else D
     checks = []
     loop = loop_space(n, RING_Q)
     qv = quotient(loop, dihedral(1))
     qt = quotient(loop, theta_group())
 
-    vms = [(d, b) for d in range(D + 1) for b in qv.basis(d)]
-    tms = [(d, b) for d in range(D + 1) for b in qt.basis(d)]
-
-    if n % 2:
-        bad = None
-        for da, a in vms:
-            for db, b in vms:
-                if da + db > D:
-                    break
-                if a_product("vartheta", qv, a, b):
-                    bad = f"a={a}, b={b}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(f"LS^{n}/D1: A_vartheta = 0 for n odd, total degree <= {D}", bad is None, bad or "")
+    def signed(variant, q):
+        # (-1)^(n(n-j)) A(a,b) = P(a,b), j = deg b
+        return lambda da, a, db, b: (
+            _sign(n * (n - db)) * a_product(variant, q, a, b) != q.product(a, b) and f"a={a}, b={b}"
         )
+
+    vpairs = _pairs(_graded(qv, D), D)
+    if n % 2:
+        checks.append(_check(f"LS^{n}/D1: A_vartheta = 0 for n odd, total degree <= {D}", vpairs,
+                             lambda da, a, db, b: bool(a_product("vartheta", qv, a, b)) and f"a={a}, b={b}"))
         mu = mu_class(qv)
         ok = bool(qv.product(mu, mu))
-        checks.append(
-            Check(f"LS^{n}/D1: yet P_vartheta is not zero (P(mu,mu) != 0)", ok, "")
-        )
+        checks.append(Check(f"LS^{n}/D1: yet P_vartheta is not zero (P(mu,mu) != 0)", ok, ""))
     else:
-        bad = None
-        for da, a in vms:
-            for db, b in vms:
-                if da + db > D:
-                    break
-                j = db
-                sign = -1 if (n * (n - j)) % 2 else 1
-                if sign * a_product("vartheta", qv, a, b) != qv.product(a, b):
-                    bad = f"a={a}, b={b}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(
-                f"LS^{n}/D1: (-1)^(n(n-j)) A_vartheta(a,b) = P_vartheta(a,b), total degree <= {D}",
-                bad is None,
-                bad or "",
-            )
-        )
-
-    bad = None
-    for da, a in tms:
-        for db, b in tms:
-            if da + db > D:
-                break
-            j = db
-            sign = -1 if (n * (n - j)) % 2 else 1
-            if sign * a_product("theta", qt, a, b) != qt.product(a, b):
-                bad = f"a={a}, b={b}"
-                break
-        if bad:
-            break
-    checks.append(
-        Check(
-            f"LS^{n}/theta: (-1)^(n(n-j)) A_theta(a,b) = P_theta(a,b), total degree <= {D}",
-            bad is None,
-            bad or "",
-        )
-    )
+        checks.append(_check(f"LS^{n}/D1: (-1)^(n(n-j)) A_vartheta(a,b) = P_vartheta(a,b), total degree <= {D}",
+                             vpairs, signed("vartheta", qv)))
+    checks.append(_check(f"LS^{n}/theta: (-1)^(n(n-j)) A_theta(a,b) = P_theta(a,b), total degree <= {D}",
+                         _pairs(_graded(qt, D), D), signed("theta", qt)))
 
     # the construction refuses inhomogeneous second arguments
     a0 = qv.project(loop.generator("A"))
@@ -887,8 +529,6 @@ def suite_a_products(n, rings, D, K):
 
 def suite_quotient_homs(n, rings, D, K):
     """Quotient versions of ev and j_! against the displayed scaling laws."""
-    D = PRODUCT_BOUND if D is None else D
-    checks = []
     loop = loop_space(n, RING_Q)
     omega = based_loop_space(n, RING_Q)
     group = dihedral(1)
@@ -905,67 +545,26 @@ def suite_quotient_homs(n, rings, D, K):
     def j_quot(a: QElement) -> QElement:
         return qo.project(jb(q.transfer(a))) * inv_order
 
-    qms = [(d, b) for d in range(D + 1) for b in q.basis(d)]
+    qms = _graded(q, D)
     tag = f"LS^{n}/D1"
-
-    bad = None
-    for da, a in qms:
-        for db, b in qms:
-            if da + db > D:
-                break
-            lhs = ev_quot(q.product(a, b))
-            rhs = order**2 * (ev_quot(a) * ev_quot(b))
-            if lhs != rhs:
-                bad = f"a={a}, b={b}"
-                break
-        if bad:
-            break
-    checks.append(
-        Check(
-            f"{tag}: (ev/G)(P(a,b)) = |G|^2 (ev/G)(a).(ev/G)(b), total degree <= {D}",
-            bad is None,
-            bad or "",
-        )
-    )
-
-    ok = ev_quot(q.unit()) == sphere_space(n, RING_Q).unit / order**2
-    checks.append(Check(f"{tag}: (ev/G)(e) = fundamental/|G|^2", ok, ""))
-
-    bad = None
-    for da, a in qms:
-        for db, b in qms:
-            if da + db > D:
-                break
-            lhs = j_quot(q.product(a, b))
-            rhs = qo.product(j_quot(a), j_quot(b))
-            if lhs != rhs:
-                bad = f"a={a}, b={b}"
-                break
-        if bad:
-            break
-    checks.append(
-        Check(
-            f"{tag}: (j/G)(P(a,b)) = POmega((j/G)(a),(j/G)(b)), total degree <= {D}",
-            bad is None,
-            bad or "",
-        )
-    )
-
-    ok = j_quot(q.unit()) == qo.unit()
-    checks.append(Check(f"{tag}: (j/G)(e) is the based transfer unit", ok, ""))
+    checks = [
+        _check(f"{tag}: (ev/G)(P(a,b)) = |G|^2 (ev/G)(a).(ev/G)(b), total degree <= {D}", _pairs(qms, D),
+               lambda da, a, db, b: ev_quot(q.product(a, b)) != order**2 * (ev_quot(a) * ev_quot(b))
+               and f"a={a}, b={b}"),
+        Check(f"{tag}: (ev/G)(e) = fundamental/|G|^2", ev_quot(q.unit()) == sphere_space(n, RING_Q).unit / order**2),
+        _check(f"{tag}: (j/G)(P(a,b)) = POmega((j/G)(a),(j/G)(b)), total degree <= {D}", _pairs(qms, D),
+               lambda da, a, db, b: j_quot(q.product(a, b)) != qo.product(j_quot(a), j_quot(b)) and f"a={a}, b={b}"),
+        Check(f"{tag}: (j/G)(e) is the based transfer unit", j_quot(q.unit()) == qo.unit()),
+    ]
 
     # spot facts on the based quotient
     x = omega.generator("x")
     ok = not qo.project(x)
     checks.append(Check(f"OS^{n}/D1: q(x) = 0", ok, ""))
-    if n % 2:
-        x2 = qo.project(x**2)
-        ok = qo.product(x2, x2) == 4 * qo.project(x**4)
-        checks.append(Check(f"OS^{n}/D1: POmega(q(x^2),q(x^2)) = 4*q(x^4)", ok, ""))
-    else:
-        x4 = qo.project(x**4)
-        ok = qo.product(x4, x4) == 4 * qo.project(x**8)
-        checks.append(Check(f"OS^{n}/D1: POmega(q(x^4),q(x^4)) = 4*q(x^8)", ok, ""))
+    k = 2 if n % 2 else 4
+    xk = qo.project(x**k)
+    ok = qo.product(xk, xk) == 4 * qo.project(x ** (2 * k))
+    checks.append(Check(f"OS^{n}/D1: POmega(q(x^{k}),q(x^{k})) = 4*q(x^{2 * k})", ok, ""))
     return checks
 
 
@@ -981,6 +580,7 @@ SUITES = {
     "a-products": suite_a_products,
     "quotient-homs": suite_quotient_homs,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) -> Report:
@@ -995,11 +595,15 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
         )
     ns = tuple(ns) if ns else DEFAULT_NS
     rings = tuple(rings) if rings else (RING_Q, RING_Z)
+    K = POWER_BOUND if power_bound is None else power_bound
     checks = []
     for name in names:
         fn = SUITES[name]
+        D = degree_bound
+        if D is None:
+            D = SWEEP_BOUND if name in ("transfer", "main-theorem") else PRODUCT_BOUND
         for n in ns:
-            checks.extend(fn(n, rings, degree_bound, power_bound))
+            checks.extend(fn(n, rings, D, K))
     bound_note = f", degree bound {degree_bound}" if degree_bound else ""
     title = f"verify {suite}: n in {list(ns)}, rings {list(rings)}{bound_note}"
     return Report(title, checks)

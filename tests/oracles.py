@@ -152,21 +152,43 @@ def transfer_product_representative(q: Quotient, x: Element, y: Element) -> Elem
 
     tr(q z) = sum over g of g z, so P_G(q x, q y) represents the invariant
     projection of sum over (g, h) of (g x) * (h y).  The group action is
-    rebuilt here from scratch via `theta_star`; for rotation-only groups the
-    action is trivial and the invariant projection is the identity.
+    rebuilt here from scratch via `theta_star`: of the |G| elements, the m
+    rotations act as the identity and the m reflections (if any) by loop
+    reversal.  For rotation-only groups the invariant projection is the
+    identity.
     """
     reverse = theta_star(q.space)
+    rotations = q.group.order // 2 if q.group.has_reflections else q.group.order
+    factors = ["id"] * rotations + ["reversal"] * (q.group.order - rotations)
 
     def act(factor: str, elt: Element) -> Element:
-        return reverse(elt) if factor == "theta" else elt
+        return reverse(elt) if factor == "reversal" else elt
 
     total = q.space.algebra.zero()
-    for g in q.group.homology_factors():
-        for h in q.group.homology_factors():
+    for g in factors:
+        for h in factors:
             total = total + act(g, x) * act(h, y)
     if not q.group.has_reflections:
         return total
     return (total + reverse(total)) * Fraction(1, 2)
+
+
+# ----------------------------------------------------------------------
+# printed integers, read back in short chunks
+# ----------------------------------------------------------------------
+
+
+def decimal_value(text: str) -> int:
+    """The integer a decimal digit string names, read 100 digits at a time.
+
+    Short chunks stay far below Python's int<->str digit limit, so long
+    printed coefficients can be checked without changing that limit.
+    """
+    value = 0
+    for i in range(0, len(text), 100):
+        chunk = text[i : i + 100]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 # ----------------------------------------------------------------------

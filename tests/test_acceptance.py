@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from loophom import (
     DomainError,
@@ -56,6 +57,9 @@ POWER_BOUND = 25
 
 REFLECTION_GROUPS = tuple(dihedral(m) for m in range(1, 6)) + (theta_group(),)
 CYCLIC_GROUPS = tuple(cyclic(m) for m in range(2, 8))
+# stdout of `loophom verify all` at the default bounds, recorded before the
+# verify suites were rewritten around one search loop
+GOLDEN_VERIFY_ALL = Path(__file__).resolve().parent / "golden" / "verify-all.txt"
 
 
 @contextlib.contextmanager
@@ -540,4 +544,5 @@ def test_criterion_10_cli() -> None:
         assert result.returncode == 0, result.stdout[-2000:]
         assert "checks passed" in result.stdout
         assert "[FAIL]" not in result.stdout
+        assert result.stdout == GOLDEN_VERIFY_ALL.read_text(), "verify all report changed"
         assert elapsed < 60.0, f"verify all took {elapsed:.1f} s"

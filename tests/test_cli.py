@@ -10,6 +10,8 @@ import pytest
 
 from loophom import cli
 
+from oracles import decimal_value
+
 EXPECTED_LOOP4Z_JSON = (
     '{"space":"loop","n":4,"ring":"Z","group":null,"max_degree":6,"entries":'
     '[{"degree":0,"rank":1,"torsion":[],"generators":["A"],"family":null},'
@@ -181,6 +183,27 @@ def test_verify_restricts_to_requested_ring(capsys) -> None:
 # ----------------------------------------------------------------------
 # the installed entry point
 # ----------------------------------------------------------------------
+
+
+def test_eval_huge_power_is_fast() -> None:
+    # powers go by squaring: 10^8 is 26 squarings, not 10^8 products
+    result = subprocess.run(
+        [sys.executable, "-m", "loophom.cli", "eval", "U^100000000", "--n", "3"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "U^100000000\n", "")
+
+
+def test_eval_prints_coefficients_past_the_digit_limit(capsys) -> None:
+    # mu^k = 4^(k-1) q(U^2k); 4^7999 has 4816 digits
+    code, out, err = _run(capsys, "eval", "mu^8000", "--n", "3", "--group", "D1")
+    assert (code, err) == (0, "")
+    coeff, _, rest = out.partition("*")
+    assert rest == "q(U^16000)\n"
+    assert len(coeff) == 4816
+    assert decimal_value(coeff) == 4**7999
 
 
 def test_console_script_end_to_end() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from loophom import (
 from loophom.core import scalar_str
 
 from oracles import (
+    decimal_value,
     is_two_torsion,
     loop_product_degree,
     pontrjagin_product_degree,
@@ -217,7 +219,7 @@ def test_scalars_act_like_repeated_addition(data) -> None:
     assert a * 3 == a + a + a
 
 
-@given(element_tuples(1), st.integers(0, 4))
+@given(element_tuples(1), st.integers(0, 13))
 def test_powers_are_iterated_products(data, k: int) -> None:
     space, a = data
     expected = space.algebra.unit()
@@ -320,6 +322,38 @@ def test_scalar_rendering() -> None:
     assert scalar_str(Fraction(3, 2)) == "3/2"
     assert scalar_str(Fraction(4, 2)) == "2"
     assert scalar_str(-7) == "-7"
+
+
+def test_big_scalars_print_exactly() -> None:
+    # past Python's default 4300-digit int->str limit, without touching it
+    limit = sys.get_int_max_str_digits()
+    for value in (10**5000 + 7, -(3**9000), 2**40000, 10**4300):
+        text = scalar_str(value)
+        digits = text.lstrip("-")
+        assert text.startswith("-") == (value < 0)
+        assert digits[0] != "0"
+        assert decimal_value(digits) == abs(value)
+    p, q = 3**9000, 2**20001
+    num, den = scalar_str(Fraction(-p, q)).split("/")
+    assert (decimal_value(num.lstrip("-")), decimal_value(den)) == (p, q)
+    assert num.startswith("-")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_bool_is_not_a_scalar() -> None:
+    space = loop_space(3, "Q")
+    u = space.generator("U")
+    for attempt in (
+        lambda: u * True,
+        lambda: False * u,
+        lambda: u / True,
+        lambda: u**True,
+        lambda: space.algebra.scalar(True),
+        lambda: loop_space(3, "Z").algebra.scalar(False),
+        lambda: space.algebra.normalize([(True, (0, 1))]),
+    ):
+        with pytest.raises(DomainError):
+            attempt()
 
 
 def test_element_rendering() -> None:

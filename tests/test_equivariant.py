@@ -9,6 +9,7 @@ import pytest
 from loophom import (
     DomainError,
     StructureError,
+    Subgroup,
     a_product,
     based_loop_space,
     conjugate_dihedral,
@@ -47,12 +48,53 @@ def test_subgroup_orders_and_labels() -> None:
     assert conjugate_dihedral(3, Fraction(1, 5)).label == "D3@1/5"
 
 
-def test_subgroup_reflection_counts() -> None:
-    assert cyclic(6).homology_factors() == ("id",) * 6
-    assert dihedral(2).homology_factors() == ("id", "id", "theta", "theta")
-    assert theta_group().homology_factors() == ("id", "theta")
+def test_subgroup_is_m_reflections_rotation() -> None:
+    assert (cyclic(6).m, cyclic(6).has_reflections, cyclic(6).rotation) == (6, False, 0)
+    assert (dihedral(2).m, dihedral(2).has_reflections, dihedral(2).rotation) == (2, True, 0)
+    assert (theta_group().m, theta_group().rotation) == (1, Fraction(1, 2))
     assert not cyclic(3).has_reflections
     assert dihedral(1).has_reflections
+    assert not hasattr(dihedral(1), "kind")
+    assert not hasattr(dihedral(1), "homology_factors")
+
+
+def test_subgroup_labels_name_groups_exactly() -> None:
+    # equal groups <=> equal labels, over a grid of sizes and rotations
+    rotations = [Fraction(k, 6) for k in range(-6, 13)] + [Fraction(1, 5), Fraction(7, 3)]
+    groups = [cyclic(m) for m in range(1, 5)] + [dihedral(m) for m in range(1, 5)]
+    groups += [conjugate_dihedral(m, s) for m in range(1, 5) for s in rotations]
+    for a in groups:
+        for b in groups:
+            assert (a == b) == (a.label == b.label), (a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_subgroup_rotation_is_canonical() -> None:
+    assert conjugate_dihedral(1, Fraction(3, 2)) == theta_group()
+    assert conjugate_dihedral(2, 0) == dihedral(2)
+    assert conjugate_dihedral(2, 0).label == "D2"
+    assert conjugate_dihedral(2, Fraction(1, 2)) == dihedral(2)
+    assert conjugate_dihedral(3, Fraction(-1, 12)).rotation == Fraction(1, 4)
+    assert cyclic(4) == Subgroup(4, False, Fraction(1, 7))
+    assert conjugate_dihedral(1, Fraction(1, 3)).label == "D1@1/3"
+    assert conjugate_dihedral(1, Fraction(1, 3)) != theta_group()
+
+
+def test_equal_groups_share_one_quotient() -> None:
+    space = loop_space(3, "Q")
+    assert quotient(space, conjugate_dihedral(1, Fraction(3, 2))) is quotient(space, theta_group())
+    assert quotient(space, conjugate_dihedral(2, 0)) is quotient(space, dihedral(2))
+
+
+def test_a_products_refuse_other_reflection_quotients() -> None:
+    space = loop_space(3, "Q")
+    q = quotient(space, conjugate_dihedral(1, Fraction(1, 3)))
+    e = q.unit()
+    with pytest.raises(DomainError):
+        a_product("theta", q, e, e)
+    with pytest.raises(DomainError):
+        a_product("vartheta", q, e, e)
 
 
 def test_subgroup_validation() -> None:
@@ -173,6 +215,22 @@ def test_transfer_product_matches_double_sum(n: int, group) -> None:
             y = space.algebra.monomial_element(m2)
             product = q.product(q.project(x), q.project(y))
             assert product.rep == transfer_product_representative(q, x, y)
+
+
+def test_bool_is_not_a_quotient_scalar() -> None:
+    mu = mu_class(quotient(loop_space(3, "Q"), dihedral(1)))
+    for attempt in (lambda: mu * True, lambda: True * mu, lambda: mu / True, lambda: mu**False):
+        with pytest.raises(DomainError):
+            attempt()
+
+
+def test_quotient_powers_by_squaring_match_iterated_products() -> None:
+    q = quotient(loop_space(4, "Q"), theta_group())
+    a = q.project(loop_space(4, "Q").generator("Theta") ** 2) + q.unit()
+    expected = q.unit()
+    for k in range(12):
+        assert a**k == expected
+        expected = q.product(expected, a)
 
 
 def test_transfer_product_frozen_example() -> None:

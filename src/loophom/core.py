@@ -1,6 +1,8 @@
 """Exact engine for small finitely presented graded-commutative algebras.
 
-Every coefficient is exact: `fractions.Fraction` over Q, plain `int` over Z.
+Every coefficient is exact: plain `int` over Z; over Q, `int` when the value
+is integral and `fractions.Fraction` otherwise, so a `Fraction` appears only
+after a real division (equal values compare and hash alike either way).
 An `Algebra` owns an ordered tuple of generators together with rewrite data
 (monomial patterns that vanish, and monomial patterns whose coefficients are
 2-torsion), and `Element` values are normalized term maps over the resulting
@@ -31,6 +33,10 @@ RING_Z = "Z"
 
 #: exponent vector, one entry per generator of the owning algebra
 Monomial = tuple
+
+
+# the fate of a monomial under the rewrite rules, as memoised by Algebra._fate
+_ZERO, _FREE, _TORSION = 0, 1, 2
 
 
 class StructureError(ValueError):
@@ -106,6 +112,7 @@ class Algebra:
         self.unit_monomial = (0,) * width
         self._product_memo: dict = {}
         self._basis_cache: dict = {}
+        self._fates: dict = {}
         # smallest shifted degree the tail generators i.. can still contribute
         mins = [0] * (width + 1)
         for i in range(width - 1, -1, -1):
@@ -119,20 +126,21 @@ class Algebra:
     # ------------------------------------------------------------------
 
     def scalar(self, value):
-        """Coerce a number into this algebra's coefficient ring."""
-        if self.ring == RING_Q:
-            if is_scalar(value):
-                return Fraction(value)
-            raise DomainError(f"cannot use {value!r} as a rational coefficient")
+        """Coerce a number into this algebra's coefficient ring.
+
+        An integral value comes back as `int` on both rings; over Q any other
+        rational stays a `Fraction`.
+        """
         if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise DomainError(
-                    f"fractional coefficient {value} needs ring Q, not Z"
-                )
-            return int(value)
+            if value.denominator == 1:
+                return value.numerator
+            if self.ring == RING_Q:
+                return value
+            raise DomainError(f"fractional coefficient {value} needs ring Q, not Z")
         if is_scalar(value):
             return value
-        raise DomainError(f"cannot use {value!r} as an integer coefficient")
+        kind = "a rational" if self.ring == RING_Q else "an integer"
+        raise DomainError(f"cannot use {value!r} as {kind} coefficient")
 
     # ------------------------------------------------------------------
     # monomials
@@ -143,15 +151,31 @@ class Algebra:
             e * g.shifted for e, g in zip(mono, self.generators)
         )
 
-    def _dominates(self, mono: Monomial, pattern: Monomial) -> bool:
-        return all(e >= p for e, p in zip(mono, pattern))
+    def _fate(self, mono: Monomial) -> int:
+        """_ZERO, _FREE or _TORSION (2-torsion coefficient, Z only) for a tuple.
 
-    def is_zero_monomial(self, mono: Monomial) -> bool:
-        return any(self._dominates(mono, pat) for pat in self.zero_rules)
+        A monomial is validated and classified once, on first sight; the
+        answer is memoised per algebra.
+        """
+        fate = self._fates.get(mono)
+        if fate is not None:
+            return fate
+        if len(mono) != len(self.generators):
+            raise StructureError(f"monomial {mono} has wrong width for {self.label}")
+        if any(e < 0 for e in mono):
+            raise StructureError(f"negative exponent in monomial {mono}")
 
-    def is_torsion_monomial(self, mono: Monomial) -> bool:
-        """True when the coefficient of `mono` is killed by 2 over Z."""
-        return any(self._dominates(mono, pat) for pat in self.torsion_rules)
+        def matches(rules):
+            return any(all(e >= p for e, p in zip(mono, pat)) for pat in rules)
+
+        if matches(self.zero_rules):
+            fate = _ZERO
+        elif matches(self.torsion_rules):
+            fate = _TORSION if self.ring == RING_Z else _ZERO
+        else:
+            fate = _FREE
+        self._fates[mono] = fate
+        return fate
 
     def mul_monomials(self, m1: Monomial, m2: Monomial):
         """Multiply two monomials; returns (monomial, sign).
@@ -199,28 +223,30 @@ class Algebra:
 
         Applies the rewrite rules: zero-pattern monomials are dropped,
         torsion-pattern coefficients are reduced mod 2 over Z and dropped
-        over Q, and zero coefficients are pruned.
+        over Q, and zero coefficients are pruned.  Every monomial is checked
+        (once, see `_fate`) and every coefficient goes through `scalar`,
+        except an exact `int`, which `scalar` would return unchanged.  An
+        integral `Fraction` sum comes out as `int`.
         """
+        fates = self._fates
         acc: dict = {}
         for coeff, mono in terms:
-            mono = tuple(mono)
-            if len(mono) != len(self.generators):
-                raise StructureError(
-                    f"monomial {mono} has wrong width for {self.label}"
-                )
-            if any(e < 0 for e in mono):
-                raise StructureError(f"negative exponent in monomial {mono}")
-            coeff = self.scalar(coeff)
-            acc[mono] = acc.get(mono, 0) + coeff
+            try:
+                fate = fates[mono]
+            except (KeyError, TypeError):  # first sight, or not a tuple
+                mono = tuple(mono)
+                fate = self._fate(mono)
+            if type(coeff) is not int:
+                coeff = self.scalar(coeff)
+            if fate:
+                acc[mono] = acc.get(mono, 0) + coeff
         out: dict = {}
         for mono, coeff in acc.items():
-            if self.is_zero_monomial(mono):
-                continue
-            if self.is_torsion_monomial(mono):
-                if self.ring == RING_Q:
-                    continue
-                coeff = coeff % 2
+            if fates[mono] == _TORSION:
+                coeff %= 2
             if coeff:
+                if type(coeff) is not int and coeff.denominator == 1:
+                    coeff = coeff.numerator
                 out[mono] = coeff
         return Element(self, out)
 
@@ -241,40 +267,52 @@ class Algebra:
         """All normal-form basis monomials of the given degree, sorted.
 
         Over Z this includes torsion monomials (their multiples form the
-        2-torsion summand); over Q those are excluded.
+        2-torsion summand); over Q those are excluded.  The exponent of the
+        last free (non-nilpotent) generator is solved for by division, so
+        only the 2^k nilpotent choices and the other free generators are
+        enumerated.
         """
         hit = self._basis_cache.get(degree)
         if hit is not None:
             return list(hit)
         gens = self.generators
-        target = degree - self.shift
-        out: list = []
-
-        def extend(i: int, acc: list, remaining: int):
-            if i == len(gens):
-                if remaining == 0:
-                    mono = tuple(acc)
-                    if self.is_zero_monomial(mono):
-                        return
-                    if self.ring == RING_Q and self.is_torsion_monomial(mono):
-                        return
-                    out.append(mono)
-                return
-            g = gens[i]
-            if g.nilpotent:
-                for e in (0, 1):
-                    extend(i + 1, acc + [e], remaining - e * g.shifted)
-                return
-            if g.shifted <= 0:
+        free = [i for i, g in enumerate(gens) if not g.nilpotent]
+        for i in free:
+            if gens[i].shifted <= 0:
                 raise StructureError(
-                    f"generator {g.name} would make degree {degree} infinite"
+                    f"generator {gens[i].name} would make degree {degree} infinite"
                 )
-            e = 0
-            while e * g.shifted <= remaining - self._suffix_min[i + 1]:
-                extend(i + 1, acc + [e], remaining - e * g.shifted)
-                e += 1
+        solved = free[-1] if free else None
 
-        extend(0, [], target)
+        def exponents(i, g, rest):
+            if i == solved:
+                return (0,)  # filled in below
+            if g.nilpotent:
+                return (0, 1)
+            # the generators after i add at least _suffix_min[i + 1]
+            return range((rest - self._suffix_min[i + 1]) // g.shifted + 1)
+
+        # (exponents so far, shifted degree still to fill)
+        partial = [((), degree - self.shift)]
+        for i, g in enumerate(gens):
+            partial = [
+                (acc + (e,), rest - e * g.shifted)
+                for acc, rest in partial
+                for e in exponents(i, g, rest)
+            ]
+        out: list = []
+        for acc, rest in partial:
+            if solved is None:
+                if rest:
+                    continue
+                mono = acc
+            else:
+                e, left = divmod(rest, gens[solved].shifted)
+                if e < 0 or left:
+                    continue
+                mono = acc[:solved] + (e,) + acc[solved + 1:]
+            if self._fate(mono):
+                out.append(mono)
         out.sort()
         self._basis_cache[degree] = tuple(out)
         return out
@@ -283,7 +321,7 @@ class Algebra:
         """(free basis monomials, torsion basis monomials) in one degree."""
         free, torsion = [], []
         for mono in self.basis(degree):
-            (torsion if self.is_torsion_monomial(mono) else free).append(mono)
+            (torsion if self._fate(mono) == _TORSION else free).append(mono)
         return free, torsion
 
     def __repr__(self):
@@ -358,8 +396,9 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same(other)
-        terms = list(self.terms.items()) + list(other.terms.items())
-        return self.algebra.normalize((c, m) for m, c in terms)
+        terms = [(c, m) for m, c in self.terms.items()]
+        terms += [(c, m) for m, c in other.terms.items()]
+        return self.algebra.normalize(terms)
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -370,21 +409,21 @@ class Element:
         return self.algebra.normalize(terms)
 
     def __neg__(self):
-        return self.algebra.normalize((-c, m) for m, c in self.terms.items())
+        return self.algebra.normalize([(-c, m) for m, c in self.terms.items()])
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
+            mul = self.algebra.mul_monomials
+            right = other.terms.items()
             raw = []
             for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono, sign = self.algebra.mul_monomials(m1, m2)
+                for m2, c2 in right:
+                    mono, sign = mul(m1, m2)
                     raw.append((sign * c1 * c2, mono))
             return self.algebra.normalize(raw)
         if is_scalar(other):
-            return self.algebra.normalize(
-                (c * other, m) for m, c in self.terms.items()
-            )
+            return self.algebra.normalize([(c * other, m) for m, c in self.terms.items()])
         return NotImplemented
 
     def __rmul__(self, other):

@@ -149,11 +149,19 @@ class Quotient:
         if not isinstance(a, QElement) or a.quotient is not self:
             raise StructureError("transfer expects a class on this quotient")
         rep = a.rep
-        if self.action(rep) != rep:
+        if not all(map(self._fixes, rep.terms)):
             raise StructureError(
                 f"non-invariant representative {rep} on the quotient"
             )
         return self.group.order * rep
+
+    def _fixes(self, mono: Monomial) -> bool:
+        """Whether the action fixes a basis monomial.
+
+        theta_* and chi_* act diagonally, by +-1 on each basis monomial, so
+        an element is invariant exactly when each of its monomials is.
+        """
+        return self.action.image_of_monomial(mono).terms == {mono: 1}
 
     def action_sum(self, elt: Element) -> Element:
         """sum_{g in G} g_*(elt), by explicit enumeration of the elements.
@@ -194,11 +202,7 @@ class Quotient:
         hit = self._invariants_cache.get(degree)
         if hit is not None:
             return list(hit)
-        out = []
-        for mono in self.space.algebra.basis(degree):
-            elt = self.space.algebra.monomial_element(mono)
-            if self.action.image_of_monomial(mono) == elt:
-                out.append(mono)
+        out = [mono for mono in self.space.algebra.basis(degree) if self._fixes(mono)]
         self._invariants_cache[degree] = tuple(out)
         return out
 

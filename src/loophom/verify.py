@@ -593,6 +593,9 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
         raise DomainError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all"
         )
+    for flag, bound in (("degree", degree_bound), ("power", power_bound)):
+        if bound is not None and bound < 0:
+            raise DomainError(f"{flag} bound must be >= 0, got {bound}")
     ns = tuple(ns) if ns else DEFAULT_NS
     rings = tuple(rings) if rings else (RING_Q, RING_Z)
     K = POWER_BOUND if power_bound is None else power_bound
@@ -604,6 +607,6 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
             D = SWEEP_BOUND if name in ("transfer", "main-theorem") else PRODUCT_BOUND
         for n in ns:
             checks.extend(fn(n, rings, D, K))
-    bound_note = f", degree bound {degree_bound}" if degree_bound else ""
+    bound_note = f", degree bound {degree_bound}" if degree_bound is not None else ""
     title = f"verify {suite}: n in {list(ns)}, rings {list(rings)}{bound_note}"
     return Report(title, checks)

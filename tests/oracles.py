@@ -5,6 +5,8 @@ implementation under test:
 
 * Betti tables come from explicit arithmetic-progression degree families,
   never from monomial enumeration.
+* Basis monomials come from a brute-force sweep over every exponent vector
+  within fixed caps, with the relations applied by hand.
 * Monomial degrees come from counting letters (a k-fold loop product of
   classes of degrees d_1..d_k lands in degree d_1+...+d_k - (k-1) n).
 * Loop-reversal signs on Pontrjagin powers are iterated one factor at a
@@ -98,6 +100,63 @@ def omega_betti_closed_form(n: int, max_degree: int) -> dict:
 def sphere_betti_closed_form(n: int, max_degree: int) -> dict:
     """degree -> rank for the sphere itself: Z at 0 and n."""
     return {d: 1 for d in (0, n) if d <= max_degree}
+
+
+# ----------------------------------------------------------------------
+# basis monomials by brute force
+# ----------------------------------------------------------------------
+
+
+def brute_force_basis(kind: str, n: int, ring: str, max_degree: int) -> dict:
+    """degree -> sorted exponent vectors of the basis monomials in that degree.
+
+    The presentations are written out here by hand, as (letter, homological
+    degree, nilpotent) in exponent-vector order:
+
+    loop, n odd:   (A, 0, yes), (U, 2n-1, no)
+    loop, n even:  (sigma1, n-1, yes), (A, 0, yes), (Theta, 3n-2, no)
+    omega:         (x, n-1, no)
+    sphere:        (pt, 0, yes)
+
+    Every vector with nilpotent exponents in 0..2 and the free exponent in
+    0..max_degree+2n+2 is listed.  (The empty product sits in degree n or 0,
+    a free letter raises the degree by at least 1, and two copies of each
+    nilpotent letter lower it by at most 2n+2, so the cap misses nothing.)
+    Its degree comes from letter counting; then the
+    relations are applied: a nilpotent letter squared is zero, sigma1*A is
+    zero, and A*Theta^k (k >= 1) is 2-torsion, kept over Z, zero over Q.
+    """
+    if kind == "loop" and n % 2:
+        letters = [("A", 0, True), ("U", 2 * n - 1, False)]
+    elif kind == "loop":
+        letters = [("sigma1", n - 1, True), ("A", 0, True), ("Theta", 3 * n - 2, False)]
+    elif kind == "omega":
+        letters = [("x", n - 1, False)]
+    else:
+        letters = [("pt", 0, True)]
+    caps = [3 if nil else max_degree + 2 * n + 3 for _name, _deg, nil in letters]
+
+    vectors = [()]
+    for cap in caps:
+        vectors = [v + (e,) for v in vectors for e in range(cap)]
+    out: dict = {}
+    for v in vectors:
+        word = [deg for (_name, deg, _nil), e in zip(letters, v) for _ in range(e)]
+        if kind == "omega":
+            degree = pontrjagin_product_degree(word)
+        else:
+            degree = loop_product_degree(n, word)
+        if not 0 <= degree <= max_degree:
+            continue
+        power = {name: e for (name, _deg, _nil), e in zip(letters, v)}
+        if any(power[name] >= 2 for name, _deg, nil in letters if nil):
+            continue
+        if power.get("sigma1") and power.get("A"):
+            continue
+        if power.get("A") and power.get("Theta") and ring == "Q":
+            continue
+        out.setdefault(degree, []).append(v)
+    return {d: sorted(vs) for d, vs in out.items()}
 
 
 # ----------------------------------------------------------------------

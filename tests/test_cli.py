@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
-from loophom import cli
+from loophom import DomainError, cli, loop_space
+from loophom.expr import SCALAR_POWER_BITS, EvalContext, evaluate
 
 from oracles import decimal_value
 
@@ -170,6 +173,19 @@ def test_verify_unknown_suite_exits_2(capsys) -> None:
     assert "suite" in err
 
 
+@pytest.mark.parametrize("flag", ["--degree-bound", "--power-bound"])
+def test_verify_negative_bounds_exit_2(capsys, flag: str) -> None:
+    code, out, err = _run(capsys, "verify", "algebra", "--n", "3", flag, "-5")
+    assert (code, out) == (2, "")
+    assert "bound must be >= 0" in err
+
+
+def test_verify_title_notes_a_zero_degree_bound(capsys) -> None:
+    code, out, _ = _run(capsys, "verify", "algebra", "--n", "3", "--degree-bound", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "verify algebra: n in [3], rings ['Q', 'Z'], degree bound 0"
+
+
 def test_verify_restricts_to_requested_ring(capsys) -> None:
     code, out, _ = _run(
         capsys, "verify", "algebra", "--n", "4", "--ring", "Z",
@@ -194,6 +210,38 @@ def test_eval_huge_power_is_fast() -> None:
         timeout=60,
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, "U^100000000\n", "")
+
+
+def test_eval_huge_scalar_power_is_refused_at_once(capsys) -> None:
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "eval", "2^100000000", "--n", "3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "bits" in err
+
+
+def test_scalar_powers_up_to_the_bit_limit() -> None:
+    ctx = EvalContext(loop_space(3, "Q"))
+    bits = SCALAR_POWER_BITS
+    assert evaluate(f"2^{bits - 1}", ctx) == 2 ** (bits - 1)
+    assert evaluate(f"(1/2)^{bits - 1}", ctx) == Fraction(1, 2 ** (bits - 1))
+    assert evaluate("(-1)^123456789012345678901 + 0^99999999999 + 1^99999999999", ctx) == 0
+    for text in (f"2^{bits}", f"(1/2)^{bits}", f"3^{2 * bits // 3}", f"(2^{bits // 2})^3"):
+        with pytest.raises(DomainError):
+            evaluate(text, ctx)
+
+
+def test_betti_is_linear_in_the_degree() -> None:
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "loophom.cli", "betti", "--n", "4", "--ring", "Z", "--max-degree", "20000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10.0
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-1].split()[-1] == "A*Theta^3333"
 
 
 def test_eval_prints_coefficients_past_the_digit_limit(capsys) -> None:

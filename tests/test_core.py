@@ -19,6 +19,7 @@ from loophom import (
 from loophom.core import scalar_str
 
 from oracles import (
+    brute_force_basis,
     decimal_value,
     is_two_torsion,
     loop_product_degree,
@@ -139,6 +140,22 @@ def test_basis_enumeration_small_odd() -> None:
     assert alg.basis(1) == []
     assert alg.basis(0) == [(1, 0)]
     assert alg.basis(3) == [(0, 0)]
+
+
+BASIS_CASES = (
+    [("loop", n, ring) for n in range(3, 9) for ring in ("Q", "Z")]
+    + [("omega", n, ring) for n in (3, 4) for ring in ("Q", "Z")]
+    + [("sphere", n, ring) for n in (3, 4) for ring in ("Q", "Z")]
+)
+SPACE_OF_KIND = {"loop": loop_space, "omega": based_loop_space, "sphere": sphere_space}
+
+
+@pytest.mark.parametrize("kind,n,ring", BASIS_CASES)
+def test_basis_matches_brute_force(kind: str, n: int, ring: str) -> None:
+    alg = SPACE_OF_KIND[kind](n, ring).algebra
+    expected = brute_force_basis(kind, n, ring, 200)
+    for d in range(201):
+        assert alg.basis(d) == expected.get(d, []), (kind, n, ring, d)
 
 
 def test_even_n_zero_rules() -> None:
@@ -311,6 +328,35 @@ def test_malformed_monomials_raise() -> None:
         alg.normalize([(1, (1, 2, 3))])
     with pytest.raises(StructureError):
         alg.normalize([(1, (-1, 0))])
+
+
+@pytest.mark.parametrize("ring", ["Q", "Z"])
+def test_checks_survive_a_warm_monomial_memo(ring: str) -> None:
+    alg = loop_space(4, ring).algebra
+    valid = [mono for d in range(60) for mono in alg.basis(d)] + [(2, 0, 0), (1, 1, 4)]
+    alg.normalize([(1, mono) for mono in valid])
+    for bad in [(1, 2), (0, 1, 2, 3), (0, -1, 2), (-1, 0, 0), (1, 0, -5)]:
+        with pytest.raises(StructureError):
+            alg.normalize([(1, (0, 0, 1)), (1, bad)])
+    for coeff in (True, False, 0.5, "1"):
+        with pytest.raises(DomainError):
+            alg.normalize([(1, (0, 0, 1)), (coeff, (0, 0, 1))])
+    # a monomial given as a list is read as the tuple it names
+    assert alg.normalize([(3, [0, 0, 1])]) == 3 * loop_space(4, ring).generator("Theta")
+
+
+def test_integral_coefficients_over_q_are_ints() -> None:
+    space = loop_space(3, "Q")
+    u = space.generator("U")
+    assert u * Fraction(4, 2) == 2 * u
+    assert hash(u * Fraction(4, 2)) == hash(2 * u)
+    assert type((u * Fraction(4, 2)).coefficient((0, 1))) is int
+    assert type(space.algebra.scalar(Fraction(6, 3))) is int
+    half = u / 2
+    assert half.coefficient((0, 1)) == Fraction(1, 2)
+    whole = half + half
+    assert whole == u and type(whole.coefficient((0, 1))) is int
+    assert all(type(c) is int for c in ((u + space.generator("A")) ** 5).terms.values())
 
 
 # ----------------------------------------------------------------------

@@ -196,6 +196,13 @@ def test_transfer_rejects_non_invariant_representatives() -> None:
     rigged = QElement(q, space.generator("U"))
     with pytest.raises(StructureError):
         q.transfer(rigged)
+    # one invariant and one anti-invariant term: checked monomial by monomial
+    mixed = QElement(q, space.generator("E") + space.generator("U"))
+    with pytest.raises(StructureError):
+        q.transfer(mixed)
+    assert q.transfer(QElement(q, space.generator("E") + space.generator("Theta"))) == 2 * (
+        space.generator("E") + space.generator("Theta")
+    )
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .equivariant import (
     cyclic,
     dihedral,
     eta_class,
-    homology_action,
     mu_class,
     quotient,
     theta_group,
@@ -97,7 +96,6 @@ __all__ = [
     "ev_star",
     "evaluate",
     "format_value",
-    "homology_action",
     "j_shriek",
     "j_star",
     "loop_space",

@@ -16,13 +16,18 @@ concatenation-type products).  Equivalently, shifted degrees are additive
 under multiplication and the empty monomial sits in degree `shift`.
 
 Koszul signs are read off the shifted parities: moving a letter of shifted
-degree p past one of shifted degree q costs (-1)^{p q}.  Algebras that are
-honestly commutative (polynomial rings in one variable, say) set
-`koszul=False` and never produce signs.
+degree p past one of shifted degree q costs (-1)^{p q}.  A letter never
+moves past itself, so a one-generator algebra (a polynomial ring in one
+variable, say) never produces a sign.
+
+Every presentation has at most one free (non-nilpotent) generator, of
+positive shifted degree, so `basis` enumerates only the 2^k choices of the
+k nilpotent generators and solves the free exponent by division.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,7 +78,9 @@ class Algebra:
     `zero_rules` are exponent patterns: any monomial whose exponent vector
     dominates a pattern componentwise is zero.  Squares of nilpotent
     generators are added automatically.  `torsion_rules` mark patterns whose
-    multiples are 2-torsion over Z (and vanish outright over Q).
+    multiples are 2-torsion over Z (and vanish outright over Q).  At most
+    one generator may be free (not nilpotent), of positive shifted degree;
+    anything else raises `StructureError`.
     """
 
     def __init__(
@@ -86,7 +93,6 @@ class Algebra:
         unit_name: str = "1",
         extra_zero_rules: Iterable[Monomial] = (),
         torsion_rules: Iterable[Monomial] = (),
-        koszul: bool = True,
     ):
         if ring not in (RING_Q, RING_Z):
             raise DomainError(f"unknown coefficient ring {ring!r}")
@@ -96,7 +102,6 @@ class Algebra:
         self.generators = tuple(generators)
         self.shift = shift
         self.unit_name = unit_name
-        self.koszul = koszul
         width = len(self.generators)
         rules = []
         for i, g in enumerate(self.generators):
@@ -113,13 +118,12 @@ class Algebra:
         self._product_memo: dict = {}
         self._basis_cache: dict = {}
         self._fates: dict = {}
-        # smallest shifted degree the tail generators i.. can still contribute
-        mins = [0] * (width + 1)
-        for i in range(width - 1, -1, -1):
-            g = self.generators[i]
-            cap = min(0, g.shifted) if g.nilpotent else 0
-            mins[i] = mins[i + 1] + cap
-        self._suffix_min = mins
+        free = [i for i, g in enumerate(self.generators) if not g.nilpotent]
+        if len(free) > 1 or any(self.generators[i].shifted <= 0 for i in free):
+            raise StructureError(f"{label}: need at most one free generator, of positive shifted degree")
+        self._free = free[0] if free else None
+        choices = itertools.product(*((0,) if i == self._free else (0, 1) for i in range(width)))
+        self._nilpotent_choices = [(mono, self.monomial_degree(mono)) for mono in choices]  # free exponent 0
 
     # ------------------------------------------------------------------
     # scalars
@@ -189,19 +193,13 @@ class Algebra:
         if hit is not None:
             return hit
         merged = tuple(a + b for a, b in zip(m1, m2))
-        sign = 1
-        if self.koszul:
-            gens = self.generators
-            swaps = 0
-            for j, gj in enumerate(gens):
-                if m2[j] and gj.odd:
-                    crossings = sum(
-                        m1[i] for i in range(j + 1, len(gens)) if gens[i].odd
-                    )
-                    swaps += m2[j] * crossings
-            if swaps % 2:
-                sign = -1
-        result = (merged, sign)
+        gens = self.generators
+        swaps = 0
+        for j, gj in enumerate(gens):
+            if m2[j] and gj.odd:
+                crossings = sum(m1[i] for i in range(j + 1, len(gens)) if gens[i].odd)
+                swaps += m2[j] * crossings
+        result = (merged, -1 if swaps % 2 else 1)
         self._product_memo[key] = result
         return result
 
@@ -211,7 +209,7 @@ class Algebra:
             if e == 1:
                 parts.append(g.name)
             elif e > 1:
-                parts.append(f"{g.name}^{e}")
+                parts.append(f"{g.name}^{_int_str(e)}")
         return "*".join(parts) if parts else self.unit_name
 
     # ------------------------------------------------------------------
@@ -267,50 +265,24 @@ class Algebra:
         """All normal-form basis monomials of the given degree, sorted.
 
         Over Z this includes torsion monomials (their multiples form the
-        2-torsion summand); over Q those are excluded.  The exponent of the
-        last free (non-nilpotent) generator is solved for by division, so
-        only the 2^k nilpotent choices and the other free generators are
-        enumerated.
+        2-torsion summand); over Q those are excluded.  Only the 2^k choices
+        of the nilpotent exponents are enumerated; the free generator's
+        exponent, if there is one, is solved for by division.
         """
         hit = self._basis_cache.get(degree)
         if hit is not None:
             return list(hit)
-        gens = self.generators
-        free = [i for i, g in enumerate(gens) if not g.nilpotent]
-        for i in free:
-            if gens[i].shifted <= 0:
-                raise StructureError(
-                    f"generator {gens[i].name} would make degree {degree} infinite"
-                )
-        solved = free[-1] if free else None
-
-        def exponents(i, g, rest):
-            if i == solved:
-                return (0,)  # filled in below
-            if g.nilpotent:
-                return (0, 1)
-            # the generators after i add at least _suffix_min[i + 1]
-            return range((rest - self._suffix_min[i + 1]) // g.shifted + 1)
-
-        # (exponents so far, shifted degree still to fill)
-        partial = [((), degree - self.shift)]
-        for i, g in enumerate(gens):
-            partial = [
-                (acc + (e,), rest - e * g.shifted)
-                for acc, rest in partial
-                for e in exponents(i, g, rest)
-            ]
+        free = self._free
         out: list = []
-        for acc, rest in partial:
-            if solved is None:
-                if rest:
-                    continue
-                mono = acc
-            else:
-                e, left = divmod(rest, gens[solved].shifted)
+        for mono, low in self._nilpotent_choices:
+            rest = degree - low
+            if free is not None:
+                e, left = divmod(rest, self.generators[free].shifted)
                 if e < 0 or left:
                     continue
-                mono = acc[:solved] + (e,) + acc[solved + 1:]
+                mono = mono[:free] + (e,) + mono[free + 1:]
+            elif rest:
+                continue
             if self._fate(mono):
                 out.append(mono)
         out.sort()
@@ -516,3 +488,12 @@ def _int_str(value: int) -> str:
         half = value.bit_length() * 3 // 20  # about half of the decimal digits
         high, low = divmod(value, 10**half)
         return _int_str(high) + _int_str(low).zfill(half)
+
+
+def int_from_digits(digits: str) -> int:
+    """The natural number an ASCII digit string names, at any length: the inverse of `_int_str`."""
+    try:
+        return int(digits)
+    except ValueError:  # past the int<->str digit limit, which stays as it is
+        half = len(digits) // 2
+        return int_from_digits(digits[:-half]) * 10**half + int_from_digits(digits[-half:])

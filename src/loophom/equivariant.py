@@ -20,8 +20,11 @@ homology sees G only through |G| and whether G contains a reflection.  A
 Equal labels mean equal groups, and so the same cached `quotient`.
 
 Homology of the quotient is modeled through invariant representatives:
-rationally, ``q_*`` identifies H(X/G; Q) with the G-invariants of H(X; Q),
-and we store the invariant projection (z + theta z)/2 of a representative.
+rationally, ``q_*`` identifies H(X/G; Q) with the G-invariants of H(X; Q).
+Loop reversal theta_* acts by +-1 on each basis monomial, so the invariant
+projection (z + theta z)/2 of a representative z is exactly the sum of the
+terms of z whose monomial the action fixes; ``q_*`` keeps those terms, with
+no sum and no division.
 The transfer ``tr`` goes the other way; its two defining properties
 
     q_* ( tr(a) )  =  |G| . a           (on quotient homology)
@@ -35,8 +38,8 @@ an associative, graded-commutative product with the same sign rule as the
 loop product; its unit is q_*(E) / |G|^2.  The same construction on the
 based algebra gives the based transfer product (``POmega`` in the CLI).
 
-Everything here requires ring Q: the invariant-projection bookkeeping
-divides by 2, and no integral quotient structure is modeled.
+Everything here requires ring Q: only rationally is quotient homology the
+invariants, and no integral quotient structure is modeled.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DomainError, Element, Monomial, RING_Q, StructureError, is_scalar, power, scaled_str
-from .maps import LinearMap, chi_star, theta_star
+from .maps import theta_star
 from .spaces import LOOP, OMEGA, BettiTable, Space
 
 
@@ -70,10 +73,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return self.m * (2 if self.reflections else 1)
-
-    @property
-    def has_reflections(self) -> bool:
-        return self.reflections
 
     @property
     def label(self) -> str:
@@ -103,13 +102,6 @@ def theta_group() -> Subgroup:
     return Subgroup(1, True, Fraction(1, 2))
 
 
-def homology_action(group: Subgroup, space: Space) -> LinearMap:
-    """The action of any reflection of G on homology (identity if none)."""
-    if group.has_reflections:
-        return theta_star(space)
-    return chi_star(space)
-
-
 class Quotient:
     """Rational homology of X/G with the transfer product, X = loop or omega.
 
@@ -126,23 +118,23 @@ class Quotient:
             raise DomainError("quotient claims are modeled for n >= 3")
         self.space = space
         self.group = group
-        self.action = homology_action(group, space)
-        self._invariants_cache: dict = {}
+        self._theta = theta_star(space)
 
     # -- the two structure maps ------------------------------------------
 
     def project(self, elt: Element) -> "QElement":
         """q_*: push a covering-space class down to the quotient.
 
-        The stored representative is the invariant projection (z+theta z)/2;
-        the anti-invariant part of z is exactly the kernel of q_*.
+        The stored representative is the invariant projection (z+theta z)/2,
+        which is the terms of z with a fixed monomial: each basis monomial
+        is fixed or negated, so these terms double and halve while the rest
+        cancel.  The anti-invariant part of z is exactly the kernel of q_*.
         """
         if elt.algebra is not self.space.algebra:
             raise StructureError(
                 f"q expects an element of {self.space.algebra.label}"
             )
-        rep = (elt + self.action(elt)) * Fraction(1, 2)
-        return QElement(self, rep)
+        return QElement(self, Element(elt.algebra, {m: c for m, c in elt.terms.items() if self._fixes(m)}))
 
     def transfer(self, a: "QElement") -> Element:
         """tr: wrong-way map back to the covering space; tr(q z) = sum_g g z."""
@@ -156,12 +148,13 @@ class Quotient:
         return self.group.order * rep
 
     def _fixes(self, mono: Monomial) -> bool:
-        """Whether the action fixes a basis monomial.
+        """Whether the group fixes a basis monomial.
 
-        theta_* and chi_* act diagonally, by +-1 on each basis monomial, so
-        an element is invariant exactly when each of its monomials is.
+        Rotations act trivially and every reflection acts by theta_*, which
+        is diagonal, +-1 on each basis monomial; so an element is invariant
+        exactly when each of its monomials is.
         """
-        return self.action.image_of_monomial(mono).terms == {mono: 1}
+        return not self.group.reflections or self._theta.image_of_monomial(mono).terms == {mono: 1}
 
     def action_sum(self, elt: Element) -> Element:
         """sum_{g in G} g_*(elt), by explicit enumeration of the elements.
@@ -171,7 +164,7 @@ class Quotient:
         """
         images = [elt] * self.group.m
         if self.group.reflections:
-            images += [self.action(elt)] * self.group.m
+            images += [self._theta(elt)] * self.group.m
         total = self.space.algebra.zero()
         for image in images:
             total = total + image
@@ -199,12 +192,7 @@ class Quotient:
         For reflections these are the monomials with an even number of
         sign-reversed letters; for cyclic groups, everything.
         """
-        hit = self._invariants_cache.get(degree)
-        if hit is not None:
-            return list(hit)
-        out = [mono for mono in self.space.algebra.basis(degree) if self._fixes(mono)]
-        self._invariants_cache[degree] = tuple(out)
-        return out
+        return [mono for mono in self.space.algebra.basis(degree) if self._fixes(mono)]
 
     def basis(self, degree: int) -> list:
         """Quotient-homology basis in one degree, as QElements."""

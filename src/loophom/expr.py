@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Element, StructureError, scalar_str
+from .core import DomainError, Element, StructureError, int_from_digits, scalar_str
 from .equivariant import QElement, Quotient, a_product, eta_class, mu_class, quotient
 from .maps import ev_star, j_shriek, j_star, theta_star
 from .spaces import LOOP, OMEGA, Space, based_loop_space, loop_space
@@ -66,9 +66,9 @@ def tokenize(text: str) -> list:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: int() would read other digits, like '²', differently
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("NUMBER", text[i:j], line, col))
             col += j - i
@@ -200,18 +200,18 @@ class _Parser:
                     f"expected exponent after '^', found {what!r}", tok.line, tok.col
                 )
             self.take()
-            node = Pow(node, int(tok.text), op.line, op.col)
+            node = Pow(node, int_from_digits(tok.text), op.line, op.col)
         return node
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.take()
-            numerator = int(tok.text)
+            numerator = int_from_digits(tok.text)
             if self.peek().kind == "/":
                 slash = self.take()
                 den_tok = self.expect("NUMBER")
-                denominator = int(den_tok.text)
+                denominator = int_from_digits(den_tok.text)
                 if denominator == 0:
                     raise ExprSyntaxError("zero denominator", slash.line, slash.col)
                 return Num(Fraction(numerator, denominator), tok.line, tok.col)

@@ -43,13 +43,12 @@ SPHERE = "sphere"
 class Space:
     """An algebra plus its cast of named homology classes."""
 
-    def __init__(self, kind, n, ring, algebra, named, presentation):
+    def __init__(self, kind, n, ring, algebra, named):
         self.kind = kind
         self.n = n
         self.ring = ring
         self.algebra = algebra
         self.named = named
-        self.presentation = presentation
 
     def generator(self, name: str) -> Element:
         try:
@@ -170,7 +169,6 @@ def loop_space(n: int, ring: str) -> Space:
             "sigma1": alg.monomial_element((1, 1)),
             "Theta": alg.monomial_element((0, 2)),
         }
-        presentation = "exterior(A) (x) poly(U); |A|=0, |U|=2n-1, unit E at n"
     else:
         if n < 2:
             raise DomainError(f"even n must be >= 2, got {n}")
@@ -195,11 +193,7 @@ def loop_space(n: int, ring: str) -> Space:
             "sigma1": alg.monomial_element((1, 0, 0)),
             "Theta": alg.monomial_element((0, 0, 1)),
         }
-        presentation = (
-            "exterior(sigma1) (x) poly(A, Theta) / (A^2, sigma1*A, 2*A*Theta); "
-            "|sigma1|=n-1, |A|=0, |Theta|=3n-2, unit E at n"
-        )
-    return Space(LOOP, n, ring, alg, named, presentation)
+    return Space(LOOP, n, ring, alg, named)
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,10 +209,9 @@ def based_loop_space(n: int, ring: str) -> Space:
         generators=gens,
         shift=0,
         unit_name="1",
-        koszul=False,  # the Pontrjagin ring of a sphere is honestly commutative
     )
     named = {"x": alg.monomial_element((1,))}
-    return Space(OMEGA, n, ring, alg, named, "poly(x); |x|=n-1, unit 1 at 0")
+    return Space(OMEGA, n, ring, alg, named)
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,7 +232,7 @@ def sphere_space(n: int, ring: str) -> Space:
         "pt": alg.monomial_element((1,)),
         "fundamental": alg.unit(),
     }
-    return Space(SPHERE, n, ring, alg, named, "exterior(pt); |pt|=0, unit at n")
+    return Space(SPHERE, n, ring, alg, named)
 
 
 def make_space(kind: str, n: int, ring: str) -> Space:

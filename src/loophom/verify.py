@@ -376,7 +376,7 @@ def suite_transfer(n, rings, D, K):
                    lambda da, a, db, b: q.project(a.rep * b.rep) != scale * q.product(a, b)
                    and f"x={a.rep}, y={b.rep}"),
         ]
-        if not group.has_reflections:
+        if not group.reflections:
             checks.append(_check(f"{tag}: rotations leave every class invariant, degrees <= {D}",
                                  ((d, q.invariants(d), alg.basis(d)) for d in range(D + 1)),
                                  lambda d, fixed, every: fixed != every and f"degree {d}"))
@@ -596,6 +596,8 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
     for flag, bound in (("degree", degree_bound), ("power", power_bound)):
         if bound is not None and bound < 0:
             raise DomainError(f"{flag} bound must be >= 0, got {bound}")
+    if degree_bound is not None and degree_bound > SWEEP_BOUND:
+        raise DomainError(f"degree bound must be <= {SWEEP_BOUND}, the largest default, got {degree_bound}")
     ns = tuple(ns) if ns else DEFAULT_NS
     rings = tuple(rings) if rings else (RING_Q, RING_Z)
     K = POWER_BOUND if power_bound is None else power_bound

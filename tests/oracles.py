@@ -217,7 +217,7 @@ def transfer_product_representative(q: Quotient, x: Element, y: Element) -> Elem
     identity.
     """
     reverse = theta_star(q.space)
-    rotations = q.group.order // 2 if q.group.has_reflections else q.group.order
+    rotations = q.group.order // 2 if q.group.reflections else q.group.order
     factors = ["id"] * rotations + ["reversal"] * (q.group.order - rotations)
 
     def act(factor: str, elt: Element) -> Element:
@@ -227,7 +227,7 @@ def transfer_product_representative(q: Quotient, x: Element, y: Element) -> Elem
     for g in factors:
         for h in factors:
             total = total + act(g, x) * act(h, y)
-    if not q.group.has_reflections:
+    if not q.group.reflections:
         return total
     return (total + reverse(total)) * Fraction(1, 2)
 

@@ -180,6 +180,18 @@ def test_verify_negative_bounds_exit_2(capsys, flag: str) -> None:
     assert "bound must be >= 0" in err
 
 
+def test_verify_refuses_a_degree_bound_past_the_sweep_bound(capsys) -> None:
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "verify", "quotient-product", "--n", "3", "--degree-bound", "101")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "degree bound must be <= 100" in err
+    code, out, _ = _run(capsys, "verify", "presentation", "--n", "3", "--degree-bound", "100")
+    assert code == 0
+    assert out.splitlines()[0].endswith("degree bound 100")
+    assert out.splitlines()[-1] == "6/6 checks passed"
+
+
 def test_verify_title_notes_a_zero_degree_bound(capsys) -> None:
     code, out, _ = _run(capsys, "verify", "algebra", "--n", "3", "--degree-bound", "0")
     assert code == 0
@@ -252,6 +264,20 @@ def test_eval_prints_coefficients_past_the_digit_limit(capsys) -> None:
     assert rest == "q(U^16000)\n"
     assert len(coeff) == 4816
     assert decimal_value(coeff) == 4**7999
+
+
+@pytest.mark.parametrize("text", ["U^²", "5¹"])
+def test_eval_non_ascii_digits_are_syntax_errors(capsys, text: str) -> None:
+    code, out, err = _run(capsys, "eval", text, "--n", "3")
+    assert (code, out) == (2, "")
+    assert "syntax error" in err
+
+
+def test_eval_long_literals_print_and_reparse(capsys) -> None:
+    digits = "7" * 5000
+    for text in (digits, f"U^{digits}"):
+        code, out, err = _run(capsys, "eval", text, "--n", "3")
+        assert (code, out, err) == (0, text + "\n", "")
 
 
 def test_console_script_end_to_end() -> None:

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import loophom
 from loophom import (
+    Algebra,
     DomainError,
+    Generator,
     StructureError,
     based_loop_space,
     loop_space,
     sphere_space,
 )
-from loophom.core import scalar_str
+from loophom.core import int_from_digits, scalar_str
 
 from oracles import (
     brute_force_basis,
@@ -425,3 +428,43 @@ def test_rendering_orders_terms_by_degree() -> None:
     a, u = space.generator("A"), space.generator("U")
     low_last = u * u + a
     assert str(low_last) == "A + U^2"
+
+
+# ----------------------------------------------------------------------
+# the generality the presentations use, and the public names
+# ----------------------------------------------------------------------
+
+
+def test_algebra_refuses_two_free_generators_or_a_non_positive_one() -> None:
+    two = (Generator("x", 2, 2), Generator("y", 3, 3))
+    with pytest.raises(StructureError):
+        Algebra("two free", 3, "Q", two, shift=0)
+    for shifted in (0, -2):
+        with pytest.raises(StructureError):
+            Algebra("flat", 3, "Q", (Generator("x", 0, shifted),), shift=0)
+    # nilpotent generators of any shifted degree are fine, and so is one free one
+    gens = (Generator("a", 0, -3, nilpotent=True), Generator("b", 1, 0, nilpotent=True), Generator("x", 2, 2))
+    assert Algebra("ok", 3, "Q", gens, shift=0).basis(2) == [(0, 0, 1), (0, 1, 1)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_one_generator_products_never_sign(n: int) -> None:
+    # x has odd shifted degree for n even, yet x^i * x^j = x^(i+j)
+    alg = based_loop_space(n, "Q").algebra
+    for i in range(8):
+        for j in range(8):
+            assert alg.mul_monomials((i,), (j,)) == ((i + j,), 1)
+
+
+def test_every_public_name_resolves() -> None:
+    for name in loophom.__all__:
+        assert getattr(loophom, name) is not None, name
+    assert "homology_action" not in loophom.__all__
+    assert not hasattr(loophom, "homology_action")
+
+
+def test_digit_strings_parse_past_the_digit_limit() -> None:
+    for digits in ("0", "7", "0012", "9" * 4300, "7" * 5000, "1" + "0" * 12000):
+        assert int_from_digits(digits) == decimal_value(digits)
+    big = 3**20000  # 9543 digits
+    assert int_from_digits(scalar_str(big)) == big

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loophom import (
     DomainError,
@@ -21,6 +23,7 @@ from loophom import (
     quotient,
     sphere_space,
     theta_group,
+    theta_star,
 )
 
 from oracles import quotient_betti_closed_form, transfer_product_representative
@@ -49,13 +52,13 @@ def test_subgroup_orders_and_labels() -> None:
 
 
 def test_subgroup_is_m_reflections_rotation() -> None:
-    assert (cyclic(6).m, cyclic(6).has_reflections, cyclic(6).rotation) == (6, False, 0)
-    assert (dihedral(2).m, dihedral(2).has_reflections, dihedral(2).rotation) == (2, True, 0)
+    assert (cyclic(6).m, cyclic(6).reflections, cyclic(6).rotation) == (6, False, 0)
+    assert (dihedral(2).m, dihedral(2).reflections, dihedral(2).rotation) == (2, True, 0)
     assert (theta_group().m, theta_group().rotation) == (1, Fraction(1, 2))
-    assert not cyclic(3).has_reflections
-    assert dihedral(1).has_reflections
-    assert not hasattr(dihedral(1), "kind")
-    assert not hasattr(dihedral(1), "homology_factors")
+    assert not cyclic(3).reflections
+    assert dihedral(1).reflections
+    for gone in ("kind", "homology_factors", "has_reflections"):
+        assert not hasattr(dihedral(1), gone)
 
 
 def test_subgroup_labels_name_groups_exactly() -> None:
@@ -155,6 +158,45 @@ def test_projection_kills_exactly_the_anti_invariant_part() -> None:
     assert q.project(invariant).rep == invariant
     mixed = u + invariant
     assert q.project(mixed).rep == invariant
+
+
+def _reference_action(space, group):
+    """The action of a reflection of G (identity without one), built here from theta_star."""
+    return theta_star(space) if group.reflections else (lambda z: z)
+
+
+@pytest.mark.parametrize("make", [loop_space, based_loop_space], ids=["loop", "omega"])
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.label)
+def test_projection_is_the_invariant_projection_on_basis_classes(group, make) -> None:
+    # q keeps the fixed terms; the reference is the averaged sum (z + g z)/2
+    for n in (3, 4):
+        space = make(n, "Q")
+        q = quotient(space, group)
+        act = _reference_action(space, group)
+        for d in range(41):
+            for mono in space.algebra.basis(d):
+                z = space.algebra.monomial_element(mono)
+                assert q.project(z).rep == (z + act(z)) * Fraction(1, 2), (n, mono)
+                assert not q.project(z - act(z)), (n, mono)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ALL_GROUPS),
+    st.sampled_from([loop_space, based_loop_space]),
+    st.sampled_from([3, 4]),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(-6, 6), st.integers(1, 4)), max_size=8),
+)
+def test_projection_is_the_invariant_projection_on_sums(group, make, n, terms) -> None:
+    space = make(n, "Q")
+    alg = space.algebra
+    q = quotient(space, group)
+    act = _reference_action(space, group)
+    pool = [m for d in range(41) for m in alg.basis(d)]
+    z = alg.normalize([(Fraction(c, den), pool[i % len(pool)]) for i, c, den in terms])
+    assert q.project(z).rep == (z + act(z)) * Fraction(1, 2)
+    assert not q.project(z - act(z))
+    assert q.project(q.project(z).rep) == q.project(z)
 
 
 def test_projection_rejects_foreign_elements() -> None:

@@ -100,6 +100,23 @@ def test_syntax_error_positions() -> None:
         parse("U^-2")
 
 
+def test_numbers_are_ascii_digits_only() -> None:
+    # '²' and '¹' are str.isdigit but no ASCII digit: refused, not sent to int()
+    for text, col in (("U^²", 3), ("5¹", 2), ("٣", 1)):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text)
+        assert info.value.col == col
+
+
+def test_long_literals_parse_exactly() -> None:
+    ctx = _ctx("loop", 3)
+    digits = "7" * 5000
+    assert evaluate(digits, ctx) == int(digits[:2000]) * 10**3000 + int(digits[2000:])
+    value = evaluate(f"{digits}/1{'0' * 4999}", ctx)
+    assert value == Fraction(int(digits[:2500]) * 10**2500 + int(digits[2500:]), 10**4999)
+    assert parse(f"U^{digits}") == Pow(Name("U", 1, 1), evaluate(digits, ctx), 1, 2)
+
+
 def test_zero_denominator_is_a_syntax_error() -> None:
     with pytest.raises(ExprSyntaxError, match="zero denominator"):
         parse("1/0")

@@ -15,10 +15,10 @@ the algebra (the ambient dimension for intersection-type products, 0 for
 concatenation-type products).  Equivalently, shifted degrees are additive
 under multiplication and the empty monomial sits in degree `shift`.
 
-Koszul signs are read off the shifted parities: moving a letter of shifted
-degree p past one of shifted degree q costs (-1)^{p q}.  A letter never
-moves past itself, so a one-generator algebra (a polynomial ring in one
-variable, say) never produces a sign.
+The product is exponent addition.  A Koszul sign (-1)^{p q} needs a letter of
+odd shifted degree p to move past one of odd shifted degree q; an `Algebra`
+has at most one odd letter (A for n odd, sigma1 for n even in H_*(LS^n)), and
+a letter never moves past itself, so no sign arises.
 
 Every presentation has at most one free (non-nilpotent) generator, of
 positive shifted degree, so `basis` enumerates only the 2^k choices of the
@@ -57,8 +57,8 @@ class Generator:
     """One generator of a presented algebra.
 
     `shifted` is the degree in the product grading (homological degree minus
-    the algebra's shift); its parity drives the Koszul rule.  `theta_sign` is
-    the eigenvalue of the generator under loop reversal.
+    the algebra's shift); at most one generator of an algebra has it odd, so
+    no Koszul sign arises.  `theta_sign` is the eigenvalue under loop reversal.
     """
 
     name: str
@@ -66,10 +66,6 @@ class Generator:
     shifted: int
     nilpotent: bool = False
     theta_sign: int = 1
-
-    @property
-    def odd(self) -> bool:
-        return self.shifted % 2 != 0
 
 
 class Algebra:
@@ -79,14 +75,13 @@ class Algebra:
     dominates a pattern componentwise is zero.  Squares of nilpotent
     generators are added automatically.  `torsion_rules` mark patterns whose
     multiples are 2-torsion over Z (and vanish outright over Q).  At most
-    one generator may be free (not nilpotent), of positive shifted degree;
-    anything else raises `StructureError`.
+    one generator may be free (not nilpotent), of positive shifted degree,
+    and at most one of odd shifted degree; else `StructureError`.
     """
 
     def __init__(
         self,
         label: str,
-        n: int,
         ring: str,
         generators: Iterable[Generator],
         shift: int,
@@ -97,30 +92,24 @@ class Algebra:
         if ring not in (RING_Q, RING_Z):
             raise DomainError(f"unknown coefficient ring {ring!r}")
         self.label = label
-        self.n = n
         self.ring = ring
-        self.generators = tuple(generators)
+        self.generators = gens = tuple(generators)
         self.shift = shift
         self.unit_name = unit_name
-        width = len(self.generators)
-        rules = []
-        for i, g in enumerate(self.generators):
-            if g.nilpotent:
-                rules.append(tuple(2 if j == i else 0 for j in range(width)))
-        for pat in extra_zero_rules:
-            rules.append(tuple(pat))
-        self.zero_rules = tuple(rules)
+        width = len(gens)
+        squares = [tuple(2 if j == i else 0 for j in range(width)) for i, g in enumerate(gens) if g.nilpotent]
+        self.zero_rules = tuple(squares) + tuple(tuple(pat) for pat in extra_zero_rules)
         self.torsion_rules = tuple(tuple(pat) for pat in torsion_rules)
         for pat in self.zero_rules + self.torsion_rules:
             if len(pat) != width:
                 raise StructureError("rewrite pattern width does not match generators")
         self.unit_monomial = (0,) * width
-        self._product_memo: dict = {}
-        self._basis_cache: dict = {}
         self._fates: dict = {}
-        free = [i for i, g in enumerate(self.generators) if not g.nilpotent]
-        if len(free) > 1 or any(self.generators[i].shifted <= 0 for i in free):
+        free = [i for i, g in enumerate(gens) if not g.nilpotent]
+        if len(free) > 1 or any(gens[i].shifted <= 0 for i in free):
             raise StructureError(f"{label}: need at most one free generator, of positive shifted degree")
+        if sum(g.shifted % 2 for g in gens) > 1:
+            raise StructureError(f"{label}: need at most one generator of odd shifted degree")
         self._free = free[0] if free else None
         choices = itertools.product(*((0,) if i == self._free else (0, 1) for i in range(width)))
         self._nilpotent_choices = [(mono, self.monomial_degree(mono)) for mono in choices]  # free exponent 0
@@ -181,27 +170,9 @@ class Algebra:
         self._fates[mono] = fate
         return fate
 
-    def mul_monomials(self, m1: Monomial, m2: Monomial):
-        """Multiply two monomials; returns (monomial, sign).
-
-        The sign counts, mod 2, the Koszul transpositions needed to merge the
-        letters of m2 into m1's canonical order: each letter of m2 at
-        generator slot j crosses every odd letter of m1 at a slot > j.
-        """
-        key = (m1, m2)
-        hit = self._product_memo.get(key)
-        if hit is not None:
-            return hit
-        merged = tuple(a + b for a, b in zip(m1, m2))
-        gens = self.generators
-        swaps = 0
-        for j, gj in enumerate(gens):
-            if m2[j] and gj.odd:
-                crossings = sum(m1[i] for i in range(j + 1, len(gens)) if gens[i].odd)
-                swaps += m2[j] * crossings
-        result = (merged, -1 if swaps % 2 else 1)
-        self._product_memo[key] = result
-        return result
+    def mul_monomials(self, m1: Monomial, m2: Monomial) -> Monomial:
+        """The product of two monomials: exponents add, and no sign arises."""
+        return tuple(map(operator.add, m1, m2))
 
     def monomial_str(self, mono: Monomial) -> str:
         parts = []
@@ -269,9 +240,6 @@ class Algebra:
         of the nilpotent exponents are enumerated; the free generator's
         exponent, if there is one, is solved for by division.
         """
-        hit = self._basis_cache.get(degree)
-        if hit is not None:
-            return list(hit)
         free = self._free
         out: list = []
         for mono, low in self._nilpotent_choices:
@@ -286,7 +254,6 @@ class Algebra:
             if self._fate(mono):
                 out.append(mono)
         out.sort()
-        self._basis_cache[degree] = tuple(out)
         return out
 
     def graded_piece(self, degree: int):
@@ -391,8 +358,7 @@ class Element:
             raw = []
             for m1, c1 in self.terms.items():
                 for m2, c2 in right:
-                    mono, sign = mul(m1, m2)
-                    raw.append((sign * c1 * c2, mono))
+                    raw.append((c1 * c2, mul(m1, m2)))
             return self.algebra.normalize(raw)
         if is_scalar(other):
             return self.algebra.normalize([(c * other, m) for m, c in self.terms.items()])
@@ -413,7 +379,7 @@ class Element:
         return NotImplemented
 
     def __pow__(self, k):
-        return power(self, k, self.algebra.unit, operator.mul)
+        return power(self, k, self.algebra.unit, operator.mul, lambda e: e.terms.values())
 
     # -- comparison and display -------------------------------------------
 
@@ -454,8 +420,13 @@ def is_scalar(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
-def power(base, k, unit, mul):
-    """base**k by square-and-multiply: unit() for k = 0, else at most k products mul(x, y)."""
+#: largest bit length of a numerator or denominator in a power (about 315,653 decimal digits)
+POWER_BITS = 1 << 20
+
+
+def power(base, k, unit, mul, coefficients):
+    """base**k by square-and-multiply: unit() for k = 0, else at most 2*log2(k) products mul(x, y);
+    DomainError once a coefficient of a partial power has a numerator or denominator past POWER_BITS bits."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"exponent must be a natural number, got {k!r}")
     out = unit() if k == 0 else base
@@ -463,6 +434,8 @@ def power(base, k, unit, mul):
         out = mul(out, out)
         if bit == "1":
             out = mul(out, base)
+        if any(max(abs(c.numerator), c.denominator).bit_length() > POWER_BITS for c in coefficients(out)):
+            raise DomainError(f"a power with exponent {k} has a coefficient of more than {POWER_BITS} bits")
     return out
 
 

@@ -277,7 +277,7 @@ class QElement:
         return NotImplemented
 
     def __pow__(self, k):
-        return power(self, k, self.quotient.unit, self.quotient.product)
+        return power(self, k, self.quotient.unit, self.quotient.product, lambda q: q.rep.terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, QElement):

@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Element, StructureError, int_from_digits, scalar_str
+from .core import DomainError, Element, StructureError, int_from_digits, power, scalar_str
 from .equivariant import QElement, Quotient, a_product, eta_class, mu_class, quotient
 from .maps import ev_star, j_shriek, j_star, theta_star
 from .spaces import LOOP, OMEGA, Space, based_loop_space, loop_space
@@ -281,26 +281,6 @@ def _as_int(value) -> object:
     return value
 
 
-#: largest bit length of the numerator or denominator of a scalar power;
-#: 2^20 bits is about 315,653 decimal digits
-SCALAR_POWER_BITS = 1 << 20
-
-
-def scalar_power(base, k: int):
-    """base**k for an exact scalar; DomainError when the numerator or the
-    denominator of the result would have more than SCALAR_POWER_BITS bits.
-    """
-    value = Fraction(base)
-    size = max(abs(value.numerator), value.denominator)
-    # size**k has more than k*(b-1) bits, b = size.bit_length(), so a power
-    # that passes this first test has at most 2*SCALAR_POWER_BITS bits
-    if size < 2 or k * (size.bit_length() - 1) < SCALAR_POWER_BITS:
-        value **= k
-        if max(abs(value.numerator), value.denominator).bit_length() <= SCALAR_POWER_BITS:
-            return _as_int(value)
-    raise DomainError(f"a scalar power with exponent {k} has more than {SCALAR_POWER_BITS} bits")
-
-
 class Evaluator:
     def __init__(self, context: EvalContext):
         self.ctx = context
@@ -436,7 +416,7 @@ class Evaluator:
         if isinstance(node, Pow):
             base = self.eval(node.base)
             if isinstance(base, (int, Fraction)):
-                return scalar_power(base, node.exponent)
+                return power(base, node.exponent, lambda: 1, operator.mul, lambda c: (c,))
             return base**node.exponent
         if isinstance(node, Bin):
             lv = self.eval(node.left)

@@ -3,7 +3,8 @@
 Three spaces, three products:
 
 * ``loop``   — homology of the free loop space with the Chas-Sullivan loop
-  product (degree shift n, Koszul signs from the shifted grading).
+  product (degree shift n; no Koszul sign arises, since A for n odd and
+  sigma1 for n even is the only generator of odd shifted degree).
 * ``omega``  — homology of the based loop space with the Pontrjagin product
   (no shift; a genuine polynomial ring Z[x], |x| = n-1).
 * ``sphere`` — homology of S^n itself with the intersection product (shift n;
@@ -38,6 +39,9 @@ from .core import (
 LOOP = "loop"
 OMEGA = "omega"
 SPHERE = "sphere"
+
+#: largest `max_degree` of a table; loop n=3 takes about 2 s there
+MAX_TABLE_DEGREE = 100_000
 
 
 class Space:
@@ -96,8 +100,8 @@ class Space:
         Each row lists its monomials as name(monomial) and carries their
         common family tag, if any; `group` labels a quotient's table.
         """
-        if max_degree < 0:
-            raise DomainError(f"max_degree must be >= 0, got {max_degree}")
+        if not 0 <= max_degree <= MAX_TABLE_DEGREE:
+            raise DomainError(f"max_degree must be in 0..{MAX_TABLE_DEGREE}, got {max_degree}")
         rows = []
         for d in range(max_degree + 1):
             free, torsion = piece(d)
@@ -156,7 +160,6 @@ def loop_space(n: int, ring: str) -> Space:
         )
         alg = Algebra(
             label=f"H(LS^{n};{ring})",
-            n=n,
             ring=ring,
             generators=gens,
             shift=n,
@@ -179,7 +182,6 @@ def loop_space(n: int, ring: str) -> Space:
         )
         alg = Algebra(
             label=f"H(LS^{n};{ring})",
-            n=n,
             ring=ring,
             generators=gens,
             shift=n,
@@ -204,7 +206,6 @@ def based_loop_space(n: int, ring: str) -> Space:
     gens = (Generator("x", degree=n - 1, shifted=n - 1, theta_sign=-1),)
     alg = Algebra(
         label=f"H(OS^{n};{ring})",
-        n=n,
         ring=ring,
         generators=gens,
         shift=0,
@@ -222,7 +223,6 @@ def sphere_space(n: int, ring: str) -> Space:
     gens = (Generator("pt", degree=0, shifted=-n, nilpotent=True, theta_sign=1),)
     alg = Algebra(
         label=f"H(S^{n};{ring})",
-        n=n,
         ring=ring,
         generators=gens,
         shift=n,

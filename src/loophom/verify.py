@@ -594,10 +594,9 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all"
         )
     for flag, bound in (("degree", degree_bound), ("power", power_bound)):
-        if bound is not None and bound < 0:
-            raise DomainError(f"{flag} bound must be >= 0, got {bound}")
-    if degree_bound is not None and degree_bound > SWEEP_BOUND:
-        raise DomainError(f"degree bound must be <= {SWEEP_BOUND}, the largest default, got {degree_bound}")
+        if bound is not None and not 0 <= bound <= SWEEP_BOUND:
+            side = ">= 0" if bound < 0 else f"<= {SWEEP_BOUND}"
+            raise DomainError(f"{flag} bound must be {side}, got {bound}")
     ns = tuple(ns) if ns else DEFAULT_NS
     rings = tuple(rings) if rings else (RING_Q, RING_Z)
     K = POWER_BOUND if power_bound is None else power_bound

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from loophom import DomainError, cli, loop_space
-from loophom.expr import SCALAR_POWER_BITS, EvalContext, evaluate
+from loophom.core import POWER_BITS
+from loophom.expr import EvalContext, evaluate
 
 from oracles import decimal_value
 
@@ -144,6 +145,14 @@ def test_betti_sphere_ascii_has_no_group_column(capsys) -> None:
     assert out.splitlines()[-1] == "5       1     -        -       fundamental"
 
 
+def test_betti_refuses_a_degree_past_the_table_ceiling(capsys) -> None:
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "betti", "--n", "3", "--max-degree", "100001")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "max_degree must be in 0..100000" in err
+
+
 def test_betti_errors_exit_2(capsys) -> None:
     code, _, err = _run(capsys, "betti", "--n", "3", "--max-degree", "-1")
     assert code == 2
@@ -180,15 +189,17 @@ def test_verify_negative_bounds_exit_2(capsys, flag: str) -> None:
     assert "bound must be >= 0" in err
 
 
-def test_verify_refuses_a_degree_bound_past_the_sweep_bound(capsys) -> None:
+@pytest.mark.parametrize("flag", ["--degree-bound", "--power-bound"])
+def test_verify_refuses_a_bound_past_the_sweep_bound(capsys, flag: str) -> None:
+    suite = "quotient-product" if flag == "--degree-bound" else "main-theorem"
     start = time.perf_counter()
-    code, out, err = _run(capsys, "verify", "quotient-product", "--n", "3", "--degree-bound", "101")
+    code, out, err = _run(capsys, "verify", suite, "--n", "3", flag, "101")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert "degree bound must be <= 100" in err
-    code, out, _ = _run(capsys, "verify", "presentation", "--n", "3", "--degree-bound", "100")
+    assert f"{flag.split('-')[2]} bound must be <= 100" in err
+    code, out, _ = _run(capsys, "verify", "presentation", "--n", "3", flag, "100")
     assert code == 0
-    assert out.splitlines()[0].endswith("degree bound 100")
+    assert out.splitlines()[0].endswith("degree bound 100") == (flag == "--degree-bound")
     assert out.splitlines()[-1] == "6/6 checks passed"
 
 
@@ -224,17 +235,27 @@ def test_eval_huge_power_is_fast() -> None:
     assert (result.returncode, result.stdout, result.stderr) == (0, "U^100000000\n", "")
 
 
-def test_eval_huge_scalar_power_is_refused_at_once(capsys) -> None:
-    start = time.perf_counter()
-    code, out, err = _run(capsys, "eval", "2^100000000", "--n", "3")
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (2, "")
-    assert "bits" in err
+def _refused_within_a_second(*argv: str) -> None:
+    # a child process, so that a missing refusal fails the test instead of running for hours
+    result = subprocess.run(
+        [sys.executable, "-m", "loophom.cli", "eval", *argv], capture_output=True, text=True, timeout=1.0
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "bits" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [("mu^100000000", "--group", "D1"), ("(2*U)^100000000",)])
+def test_eval_huge_element_power_is_refused_at_once(argv) -> None:
+    _refused_within_a_second(argv[0], "--n", "3", *argv[1:])
+
+
+def test_eval_huge_scalar_power_is_refused_at_once() -> None:
+    _refused_within_a_second("2^100000000", "--n", "3")
 
 
 def test_scalar_powers_up_to_the_bit_limit() -> None:
     ctx = EvalContext(loop_space(3, "Q"))
-    bits = SCALAR_POWER_BITS
+    bits = POWER_BITS
     assert evaluate(f"2^{bits - 1}", ctx) == 2 ** (bits - 1)
     assert evaluate(f"(1/2)^{bits - 1}", ctx) == Fraction(1, 2 ** (bits - 1))
     assert evaluate("(-1)^123456789012345678901 + 0^99999999999 + 1^99999999999", ctx) == 0

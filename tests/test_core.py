@@ -438,22 +438,44 @@ def test_rendering_orders_terms_by_degree() -> None:
 def test_algebra_refuses_two_free_generators_or_a_non_positive_one() -> None:
     two = (Generator("x", 2, 2), Generator("y", 3, 3))
     with pytest.raises(StructureError):
-        Algebra("two free", 3, "Q", two, shift=0)
+        Algebra("two free", "Q", two, shift=0)
     for shifted in (0, -2):
         with pytest.raises(StructureError):
-            Algebra("flat", 3, "Q", (Generator("x", 0, shifted),), shift=0)
+            Algebra("flat", "Q", (Generator("x", 0, shifted),), shift=0)
     # nilpotent generators of any shifted degree are fine, and so is one free one
     gens = (Generator("a", 0, -3, nilpotent=True), Generator("b", 1, 0, nilpotent=True), Generator("x", 2, 2))
-    assert Algebra("ok", 3, "Q", gens, shift=0).basis(2) == [(0, 0, 1), (0, 1, 1)]
+    assert Algebra("ok", "Q", gens, shift=0).basis(2) == [(0, 0, 1), (0, 1, 1)]
+
+
+def test_algebra_refuses_two_generators_of_odd_shifted_degree() -> None:
+    for nilpotent in (True, False):
+        two = (Generator("a", 1, -1, nilpotent=True), Generator("b", 3, 3, nilpotent=nilpotent))
+        with pytest.raises(StructureError, match="odd"):
+            Algebra("two odd", "Q", two, shift=0)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_one_generator_products_never_sign(n: int) -> None:
-    # x has odd shifted degree for n even, yet x^i * x^j = x^(i+j)
-    alg = based_loop_space(n, "Q").algebra
+    # x has odd shifted degree for n even, yet x^i * x^j = x^(i+j) with coefficient 1
+    x = based_loop_space(n, "Q").generator("x")
     for i in range(8):
         for j in range(8):
-            assert alg.mul_monomials((i,), (j,)) == ((i + j,), 1)
+            product = x**i * x**j
+            assert product == x ** (i + j)
+            assert product.terms == {(i + j,): 1}
+
+
+@pytest.mark.parametrize("ring", ["Q", "Z"])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_loop_product_is_graded_commutative(n: int, ring: str) -> None:
+    # v*u = (-1)^((|u|-n)(|v|-n)) u*v, the sign taken from the degrees here
+    alg = loop_space(n, ring).algebra
+    classes = [(d, alg.monomial_element(m)) for d in range(61) for m in alg.basis(d)]
+    for du, u in classes:
+        for dv, v in classes:
+            if du + dv <= 60:
+                sign = -1 if (du - n) * (dv - n) % 2 else 1
+                assert v * u == sign * (u * v), (u, v)
 
 
 def test_every_public_name_resolves() -> None:

@@ -20,7 +20,6 @@ from .core import (
     DomainError,
     Element,
     Generator,
-    Monomial,
     RING_Q,
     RING_Z,
     StructureError,
@@ -77,7 +76,6 @@ __all__ = [
     "ExprSyntaxError",
     "Generator",
     "LinearMap",
-    "Monomial",
     "QElement",
     "Quotient",
     "RING_Q",

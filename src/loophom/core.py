@@ -3,45 +3,41 @@
 Every coefficient is exact: plain `int` over Z; over Q, `int` when the value
 is integral and `fractions.Fraction` otherwise, so a `Fraction` appears only
 after a real division (equal values compare and hash alike either way).
-An `Algebra` owns an ordered tuple of generators together with rewrite data
-(monomial patterns that vanish, and monomial patterns whose coefficients are
-2-torsion), and `Element` values are normalized term maps over the resulting
-monomial basis.
+An `Algebra` owns an ordered tuple of generators together with its zero and
+torsion rules, and `Element` values are normalized term maps over the
+resulting monomial basis.
 
-Degrees come in two flavours.  Each generator carries its homological degree
-and a *shifted* degree used by the product grading: the product of classes of
-degrees p and q lands in degree p + q - shift, where `shift` is a constant of
-the algebra (the ambient dimension for intersection-type products, 0 for
-concatenation-type products).  Equivalently, shifted degrees are additive
-under multiplication and the empty monomial sits in degree `shift`.
+Degrees come in two flavours.  Each generator carries a *shifted* degree used
+by the product grading: the product of classes of degrees p and q lands in
+degree p + q - shift, where `shift` is a constant of the algebra (the ambient
+dimension for intersection-type products, 0 for concatenation-type products).
+Equivalently, shifted degrees are additive under multiplication and the
+empty monomial sits in degree `shift`.
 
-The product is exponent addition.  A Koszul sign (-1)^{p q} needs a letter of
-odd shifted degree p to move past one of odd shifted degree q; an `Algebra`
-has at most one odd letter (A for n odd, sigma1 for n even in H_*(LS^n)), and
-a letter never moves past itself, so no sign arises.
+Every presentation has k <= 2 nilpotent generators (their squares vanish),
+listed first, and at most one free generator, of positive shifted degree,
+listed last.  So a basis monomial is the int `e << k | mask`: bit i of `mask`
+is the exponent of the i-th nilpotent generator and `e` the exponent of the
+free one.  `Algebra.monomial` and `Algebra.exponents` convert between this
+int and the exponent vector; nothing else reads letters.
 
-Every presentation has at most one free (non-nilpotent) generator, of
-positive shifted degree, so `basis` enumerates only the 2^k choices of the
-k nilpotent generators and solves the free exponent by division.
+The product is exponent addition, so two monomials multiply by adding their
+ints, unless a nilpotent letter would square.  A Koszul sign (-1)^{p q} needs
+a letter of odd shifted degree p to move past one of odd shifted degree q; an
+`Algebra` has at most one odd letter (A for n odd, sigma1 for n even in
+H_*(LS^n)), and a letter never moves past itself, so no sign arises.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 RING_Q = "Q"
 RING_Z = "Z"
-
-#: exponent vector, one entry per generator of the owning algebra
-Monomial = tuple
-
-
-# the fate of a monomial under the rewrite rules, as memoised by Algebra._fate
-_ZERO, _FREE, _TORSION = 0, 1, 2
 
 
 class StructureError(ValueError):
@@ -62,7 +58,6 @@ class Generator:
     """
 
     name: str
-    degree: int
     shifted: int
     nilpotent: bool = False
     theta_sign: int = 1
@@ -71,12 +66,17 @@ class Generator:
 class Algebra:
     """A graded algebra with a fixed monomial basis and exact coefficients.
 
-    `zero_rules` are exponent patterns: any monomial whose exponent vector
-    dominates a pattern componentwise is zero.  Squares of nilpotent
-    generators are added automatically.  `torsion_rules` mark patterns whose
-    multiples are 2-torsion over Z (and vanish outright over Q).  At most
-    one generator may be free (not nilpotent), of positive shifted degree,
-    and at most one of odd shifted degree; else `StructureError`.
+    The generators list the k nilpotent ones first and then at most one free
+    one, of positive shifted degree; at most one generator has odd shifted
+    degree.  Anything else raises `StructureError`.  A monomial is the int
+    `e << k | mask` (see the module docstring); `monomial` and `exponents`
+    convert it to and from the exponent vector.
+
+    `extra_zero_rules` and `torsion_rules` are monomials: any monomial whose
+    exponents dominate a zero rule's is zero, and one that dominates a
+    torsion rule's is 2-torsion over Z (and zero over Q).  Squares of the
+    nilpotent generators vanish by the encoding.  The rules become, for each
+    mask, the least free exponent at which a monomial is zero or torsion.
     """
 
     def __init__(
@@ -86,8 +86,8 @@ class Algebra:
         generators: Iterable[Generator],
         shift: int,
         unit_name: str = "1",
-        extra_zero_rules: Iterable[Monomial] = (),
-        torsion_rules: Iterable[Monomial] = (),
+        extra_zero_rules: Iterable[int] = (),
+        torsion_rules: Iterable[int] = (),
     ):
         if ring not in (RING_Q, RING_Z):
             raise DomainError(f"unknown coefficient ring {ring!r}")
@@ -96,23 +96,32 @@ class Algebra:
         self.generators = gens = tuple(generators)
         self.shift = shift
         self.unit_name = unit_name
-        width = len(gens)
-        squares = [tuple(2 if j == i else 0 for j in range(width)) for i, g in enumerate(gens) if g.nilpotent]
-        self.zero_rules = tuple(squares) + tuple(tuple(pat) for pat in extra_zero_rules)
-        self.torsion_rules = tuple(tuple(pat) for pat in torsion_rules)
-        for pat in self.zero_rules + self.torsion_rules:
-            if len(pat) != width:
-                raise StructureError("rewrite pattern width does not match generators")
-        self.unit_monomial = (0,) * width
-        self._fates: dict = {}
-        free = [i for i, g in enumerate(gens) if not g.nilpotent]
-        if len(free) > 1 or any(gens[i].shifted <= 0 for i in free):
+        self._k = k = sum(g.nilpotent for g in gens)
+        free = gens[k:]
+        if not all(g.nilpotent for g in gens[:k]):
+            raise StructureError(f"{label}: the nilpotent generators must come first")
+        if len(free) > 1 or any(g.shifted <= 0 for g in free):
             raise StructureError(f"{label}: need at most one free generator, of positive shifted degree")
         if sum(g.shifted % 2 for g in gens) > 1:
             raise StructureError(f"{label}: need at most one generator of odd shifted degree")
-        self._free = free[0] if free else None
-        choices = itertools.product(*((0,) if i == self._free else (0, 1) for i in range(width)))
-        self._nilpotent_choices = [(mono, self.monomial_degree(mono)) for mono in choices]  # free exponent 0
+        self._nil = nil = (1 << k) - 1
+        self._step = free[0].shifted if free else 0  # 0: no free generator
+        self._top = top = math.inf if free else nil  # the largest monomial
+        masks = range(1 << k)
+        self._mask_degree = [shift + sum(g.shifted for i, g in enumerate(gens[:k]) if mask >> i & 1) for mask in masks]
+        zero_rules, torsion_rules = tuple(extra_zero_rules), tuple(torsion_rules)
+        if any(type(rule) is not int or not 0 <= rule <= top for rule in zero_rules + torsion_rules):
+            raise StructureError(f"{label}: a rule is not a monomial")
+
+        def least_exponent(rules, mask):
+            # the free exponent from which a monomial with this mask dominates a rule
+            return min((rule >> k for rule in rules if rule & nil & ~mask == 0), default=math.inf)
+
+        if ring == RING_Q:
+            zero_rules += torsion_rules
+            torsion_rules = ()
+        self._zero_from = [least_exponent(zero_rules, mask) for mask in masks]
+        self._torsion_from = [least_exponent(torsion_rules, mask) for mask in masks]
 
     # ------------------------------------------------------------------
     # scalars
@@ -139,44 +148,37 @@ class Algebra:
     # monomials
     # ------------------------------------------------------------------
 
-    def monomial_degree(self, mono: Monomial) -> int:
-        return self.shift + sum(
-            e * g.shifted for e, g in zip(mono, self.generators)
-        )
+    def monomial(self, exps) -> int:
+        """The monomial with the exponent vector `exps`, a tuple or list with one
+        natural number per generator (0 or 1 for a nilpotent one)."""
+        if (
+            not isinstance(exps, (tuple, list))
+            or len(exps) != len(self.generators)
+            or any(type(e) is not int or e < 0 for e in exps)
+            or any(e > 1 for e in exps[: self._k])
+        ):
+            raise StructureError(f"{exps!r} is not an exponent vector of {self.label}")
+        return sum(e << i for i, e in enumerate(exps))
 
-    def _fate(self, mono: Monomial) -> int:
-        """_ZERO, _FREE or _TORSION (2-torsion coefficient, Z only) for a tuple.
+    def exponents(self, mono: int) -> tuple:
+        """The exponent vector of a monomial: the inverse of `monomial`."""
+        k = self._k
+        bits = tuple(mono >> i & 1 for i in range(k))
+        return (bits + (mono >> k,)) if self._step else bits
 
-        A monomial is validated and classified once, on first sight; the
-        answer is memoised per algebra.
+    def monomial_degree(self, mono: int) -> int:
+        return self._mask_degree[mono & self._nil] + (mono >> self._k) * self._step
+
+    def mul_monomials(self, m1: int, m2: int):
+        """The product of two monomials, or None when a nilpotent letter would square.
+
+        Exponents add, so the ints add; no sign arises.
         """
-        fate = self._fates.get(mono)
-        if fate is not None:
-            return fate
-        if len(mono) != len(self.generators):
-            raise StructureError(f"monomial {mono} has wrong width for {self.label}")
-        if any(e < 0 for e in mono):
-            raise StructureError(f"negative exponent in monomial {mono}")
+        return None if m1 & m2 & self._nil else m1 + m2
 
-        def matches(rules):
-            return any(all(e >= p for e, p in zip(mono, pat)) for pat in rules)
-
-        if matches(self.zero_rules):
-            fate = _ZERO
-        elif matches(self.torsion_rules):
-            fate = _TORSION if self.ring == RING_Z else _ZERO
-        else:
-            fate = _FREE
-        self._fates[mono] = fate
-        return fate
-
-    def mul_monomials(self, m1: Monomial, m2: Monomial) -> Monomial:
-        """The product of two monomials: exponents add, and no sign arises."""
-        return tuple(map(operator.add, m1, m2))
-
-    def monomial_str(self, mono: Monomial) -> str:
+    def monomial_str(self, mono: int) -> str:
         parts = []
-        for e, g in zip(mono, self.generators):
+        for e, g in zip(self.exponents(mono), self.generators):
             if e == 1:
                 parts.append(g.name)
             elif e > 1:
@@ -190,28 +192,26 @@ class Algebra:
     def normalize(self, terms) -> "Element":
         """Collect (coefficient, monomial) pairs into a normal-form element.
 
-        Applies the rewrite rules: zero-pattern monomials are dropped,
-        torsion-pattern coefficients are reduced mod 2 over Z and dropped
-        over Q, and zero coefficients are pruned.  Every monomial is checked
-        (once, see `_fate`) and every coefficient goes through `scalar`,
-        except an exact `int`, which `scalar` would return unchanged.  An
-        integral `Fraction` sum comes out as `int`.
+        Applies the rules: zero monomials are dropped, torsion coefficients
+        are reduced mod 2 over Z, and zero coefficients are pruned.  Every
+        monomial must be a non-negative `int` of this algebra, else
+        `StructureError`.  Every coefficient goes through `scalar`, except an
+        exact `int`, which `scalar` would return unchanged.  An integral
+        `Fraction` sum comes out as `int`.
         """
-        fates = self._fates
+        k, nil, top, zero_from = self._k, self._nil, self._top, self._zero_from
         acc: dict = {}
         for coeff, mono in terms:
-            try:
-                fate = fates[mono]
-            except (KeyError, TypeError):  # first sight, or not a tuple
-                mono = tuple(mono)
-                fate = self._fate(mono)
+            if type(mono) is not int or not 0 <= mono <= top:
+                raise StructureError(f"{mono!r} is not a monomial of {self.label}")
             if type(coeff) is not int:
                 coeff = self.scalar(coeff)
-            if fate:
+            if mono >> k < zero_from[mono & nil]:
                 acc[mono] = acc.get(mono, 0) + coeff
+        torsion_from = self._torsion_from
         out: dict = {}
         for mono, coeff in acc.items():
-            if fates[mono] == _TORSION:
+            if mono >> k >= torsion_from[mono & nil]:
                 coeff %= 2
             if coeff:
                 if type(coeff) is not int and coeff.denominator == 1:
@@ -223,9 +223,9 @@ class Algebra:
         return Element(self, {})
 
     def unit(self) -> "Element":
-        return Element(self, {self.unit_monomial: self.scalar(1)})
+        return Element(self, {0: self.scalar(1)})
 
-    def monomial_element(self, mono: Monomial) -> "Element":
+    def monomial_element(self, mono: int) -> "Element":
         return self.normalize([(1, mono)])
 
     # ------------------------------------------------------------------
@@ -236,31 +236,25 @@ class Algebra:
         """All normal-form basis monomials of the given degree, sorted.
 
         Over Z this includes torsion monomials (their multiples form the
-        2-torsion summand); over Q those are excluded.  Only the 2^k choices
-        of the nilpotent exponents are enumerated; the free generator's
-        exponent, if there is one, is solved for by division.
+        2-torsion summand); over Q those are excluded.  Only the 2^k masks
+        are enumerated; the free exponent, if there is a free generator, is
+        solved for by division.
         """
-        free = self._free
+        k, step = self._k, self._step
         out: list = []
-        for mono, low in self._nilpotent_choices:
-            rest = degree - low
-            if free is not None:
-                e, left = divmod(rest, self.generators[free].shifted)
-                if e < 0 or left:
-                    continue
-                mono = mono[:free] + (e,) + mono[free + 1:]
-            elif rest:
-                continue
-            if self._fate(mono):
-                out.append(mono)
+        for mask, low in enumerate(self._mask_degree):
+            e, left = divmod(degree - low, step) if step else (0, degree - low)
+            if e >= 0 and not left and e < self._zero_from[mask]:
+                out.append(e << k | mask)
         out.sort()
         return out
 
     def graded_piece(self, degree: int):
         """(free basis monomials, torsion basis monomials) in one degree."""
+        k, nil, torsion_from = self._k, self._nil, self._torsion_from
         free, torsion = [], []
         for mono in self.basis(degree):
-            (torsion if self._fate(mono) == _TORSION else free).append(mono)
+            (torsion if mono >> k >= torsion_from[mono & nil] else free).append(mono)
         return free, torsion
 
     def __repr__(self):
@@ -270,9 +264,10 @@ class Algebra:
 class Element:
     """A normalized element: an exact linear combination of basis monomials.
 
-    Instances are created through `Algebra.normalize` and treated as
-    immutable.  Arithmetic stays inside one algebra; mixing algebras raises
-    `StructureError`.
+    `terms` maps each monomial (an int, see `Algebra`) to its nonzero
+    coefficient.  Instances are created through `Algebra.normalize` and
+    treated as immutable.  Arithmetic stays inside one algebra; mixing
+    algebras raises `StructureError`.
     """
 
     __slots__ = ("algebra", "terms")
@@ -312,11 +307,11 @@ class Element:
             d: self.algebra.normalize(chunk) for d, chunk in sorted(parts.items())
         }
 
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(tuple(mono), self.algebra.scalar(0))
+    def coefficient(self, mono: int):
+        return self.terms.get(mono, self.algebra.scalar(0))
 
     def sorted_terms(self):
-        """Terms in canonical print order: by degree, then exponent vector."""
+        """Terms in canonical print order: by degree, then monomial."""
         alg = self.algebra
         return sorted(
             self.terms.items(), key=lambda kv: (alg.monomial_degree(kv[0]), kv[0])
@@ -358,16 +353,17 @@ class Element:
             raw = []
             for m1, c1 in self.terms.items():
                 for m2, c2 in right:
-                    raw.append((c1 * c2, mul(m1, m2)))
+                    mono = mul(m1, m2)
+                    if mono is not None:
+                        raw.append((c1 * c2, mono))
             return self.algebra.normalize(raw)
         if is_scalar(other):
             return self.algebra.normalize([(c * other, m) for m, c in self.terms.items()])
         return NotImplemented
 
     def __rmul__(self, other):
-        if is_scalar(other):
-            return self * other
-        return NotImplemented
+        # __mul__ looked up at call time, so a wrapper put on it (perfbench/tracer.py) sees scalar * element too
+        return self.__mul__(other)
 
     def __truediv__(self, other):
         if is_scalar(other):
@@ -403,7 +399,7 @@ class Element:
         alg = self.algebra
 
         def term_str(mono, mag):
-            if mono == alg.unit_monomial and alg.unit_name == "1":
+            if mono == 0 and alg.unit_name == "1":
                 return scalar_str(mag)
             return scaled_str(mag, alg.monomial_str(mono))
 

@@ -49,8 +49,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Element, Monomial, RING_Q, StructureError, is_scalar, power, scaled_str
-from .maps import theta_star
+from .core import DomainError, Element, RING_Q, StructureError, is_scalar, power, scaled_str
+from .maps import reversal_sign, theta_star
 from .spaces import LOOP, OMEGA, BettiTable, Space
 
 
@@ -119,6 +119,7 @@ class Quotient:
         self.space = space
         self.group = group
         self._theta = theta_star(space)
+        self._sign = reversal_sign(space)
 
     # -- the two structure maps ------------------------------------------
 
@@ -147,14 +148,14 @@ class Quotient:
             )
         return self.group.order * rep
 
-    def _fixes(self, mono: Monomial) -> bool:
+    def _fixes(self, mono: int) -> bool:
         """Whether the group fixes a basis monomial.
 
         Rotations act trivially and every reflection acts by theta_*, which
-        is diagonal, +-1 on each basis monomial; so an element is invariant
-        exactly when each of its monomials is.
+        is diagonal, +-1 on each basis monomial (`reversal_sign`); so an
+        element is invariant exactly when each of its monomials is.
         """
-        return not self.group.reflections or self._theta.image_of_monomial(mono).terms == {mono: 1}
+        return not self.group.reflections or self._sign(mono) == 1
 
     def action_sum(self, elt: Element) -> Element:
         """sum_{g in G} g_*(elt), by explicit enumeration of the elements.
@@ -266,10 +267,7 @@ class QElement:
             return QElement(self.quotient, self.rep * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if is_scalar(other):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if is_scalar(other):

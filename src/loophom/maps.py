@@ -1,6 +1,8 @@
 """Linear maps between the sphere-attached homology algebras.
 
-* ``theta_star``  — loop reversal acting on homology.  On the free loop
+* ``theta_star``  — loop reversal acting on homology.  It is diagonal: it
+  multiplies each basis monomial by the sign `reversal_sign(space)` gives
+  it, and `Quotient` reads that sign function directly.  On the free loop
   algebras each generator is a reversal eigenvector, so the sign on a
   monomial is the product of its letters' signs.  On the based algebra the
   k-th power of x needs more care: reversal is an anti-homomorphism up to
@@ -37,10 +39,9 @@ class LinearMap:
     `rule` maps a source monomial to a target `Element`; images are memoized.
     """
 
-    def __init__(self, source: Space, target: Space, shift: int, rule, label: str):
+    def __init__(self, source: Space, target: Space, rule, label: str):
         self.source = source
         self.target = target
-        self.shift = shift
         self.label = label
         self._rule = rule
         self._images: dict = {}
@@ -76,26 +77,23 @@ def reversal_power_sign(n: int, k: int) -> int:
     return -1 if exponent % 2 else 1
 
 
+def reversal_sign(space: Space):
+    """The sign by which loop reversal multiplies each basis monomial, as a function of the monomial."""
+    alg = space.algebra
+    if space.kind == LOOP:
+        # the letters that reversal negates; bit k of a monomial is the parity of the free exponent
+        flips = alg.monomial(tuple(int(g.theta_sign < 0) for g in alg.generators))
+        return lambda mono: -1 if (mono & flips).bit_count() % 2 else 1
+    if space.kind == OMEGA:
+        return lambda mono: reversal_power_sign(space.n, mono)  # mono is the exponent of x
+    raise DomainError("loop reversal acts on the loop and omega spaces only")
+
+
 def theta_star(space: Space) -> LinearMap:
     """Loop reversal on homology (an involution and product endomorphism)."""
     alg = space.algebra
-    if space.kind == LOOP:
-
-        def rule(mono):
-            sign = 1
-            for e, g in zip(mono, alg.generators):
-                if g.theta_sign < 0 and e % 2:
-                    sign = -sign
-            return alg.normalize([(sign, mono)])
-
-    elif space.kind == OMEGA:
-
-        def rule(mono):
-            return alg.normalize([(reversal_power_sign(space.n, mono[0]), mono)])
-
-    else:
-        raise DomainError("loop reversal acts on the loop and omega spaces only")
-    return LinearMap(space, space, 0, rule, f"theta on {alg.label}")
+    sign = reversal_sign(space)
+    return LinearMap(space, space, lambda mono: alg.normalize([(sign(mono), mono)]), f"theta on {alg.label}")
 
 
 def chi_star(space: Space) -> LinearMap:
@@ -105,67 +103,51 @@ def chi_star(space: Space) -> LinearMap:
     def rule(mono):
         return alg.monomial_element(mono)
 
-    return LinearMap(space, space, 0, rule, f"chi on {alg.label}")
+    return LinearMap(space, space, rule, f"chi on {alg.label}")
 
 
 def ev_star(n: int, ring: str) -> LinearMap:
     """Basepoint evaluation loop -> sphere (an algebra map)."""
     source = loop_space(n, ring)
     target = sphere_space(n, ring)
-    a_mono = (1, 0) if n % 2 else (0, 1, 0)
-    unit_mono = source.algebra.unit_monomial
+    a_mono = source.algebra.monomial((1, 0) if n % 2 else (0, 1, 0))
 
     def rule(mono):
         if mono == a_mono:
             return target.generator("pt")
-        if mono == unit_mono:
+        if mono == 0:
             return target.unit
         return target.algebra.zero()
 
-    return LinearMap(source, target, 0, rule, f"ev0 on {source.algebra.label}")
+    return LinearMap(source, target, rule, f"ev0 on {source.algebra.label}")
 
 
 def j_shriek(n: int, ring: str) -> LinearMap:
     """Gysin map loop -> omega of degree -n; multiplicative."""
-    source = loop_space(n, ring)
-    target = based_loop_space(n, ring)
-    if n % 2:
+    source, target = loop_space(n, ring), based_loop_space(n, ring)
 
-        def rule(mono):
-            a, k = mono
-            if a:
-                return target.algebra.zero()
-            return target.algebra.monomial_element((k,))
+    def rule(mono):
+        *nilpotent, k = source.algebra.exponents(mono)
+        if any(nilpotent):
+            return target.algebra.zero()
+        return target.algebra.monomial_element(target.algebra.monomial((k if n % 2 else 2 * k,)))
 
-    else:
-
-        def rule(mono):
-            s, a, k = mono
-            if s or a:
-                return target.algebra.zero()
-            return target.algebra.monomial_element((2 * k,))
-
-    return LinearMap(source, target, -n, rule, f"j! on {source.algebra.label}")
+    return LinearMap(source, target, rule, f"j! on {source.algebra.label}")
 
 
 def j_star(n: int, ring: str) -> LinearMap:
     """Fiber inclusion omega -> loop of degree 0."""
-    source = based_loop_space(n, ring)
-    target = loop_space(n, ring)
-    if n % 2:
+    source, target = based_loop_space(n, ring), loop_space(n, ring)
 
-        def rule(mono):
-            return target.algebra.monomial_element((1, mono[0]))
+    def rule(mono):
+        (k,) = source.algebra.exponents(mono)
+        if n % 2:
+            exps = (1, k)
+        elif k % 2:
+            exps = (1, 0, (k - 1) // 2)
+        else:
+            # A for k = 0, else the torsion class A*Theta^{k/2}; normalization kills it over Q
+            exps = (0, 1, k // 2)
+        return target.algebra.monomial_element(target.algebra.monomial(exps))
 
-    else:
-
-        def rule(mono):
-            k = mono[0]
-            if k == 0:
-                return target.generator("A")
-            if k % 2:
-                return target.algebra.monomial_element((1, 0, (k - 1) // 2))
-            # torsion class A*Theta^{k/2}; normalization kills it over Q
-            return target.algebra.monomial_element((0, 1, k // 2))
-
-    return LinearMap(source, target, 0, rule, f"j* on {source.algebra.label}")
+    return LinearMap(source, target, rule, f"j* on {source.algebra.label}")

@@ -33,7 +33,6 @@ from .core import (
     DomainError,
     Element,
     Generator,
-    Monomial,
 )
 
 LOOP = "loop"
@@ -67,7 +66,7 @@ class Space:
     def unit(self) -> Element:
         return self.algebra.unit()
 
-    def family_of(self, mono: Monomial):
+    def family_of(self, mono: int):
         """Closed-form family tag of a basis monomial, or None.
 
         Tags name the degree families lambda_r = (2r-1)(n-1) and their three
@@ -77,13 +76,13 @@ class Space:
         if self.kind != LOOP:
             return None
         if self.n % 2:
-            a, k = mono
+            a, k = self.algebra.exponents(mono)
             if k == 0:
                 return None
             if a == 1:
                 return f"lambda_{(k + 1) // 2}" if k % 2 else f"n-1+lambda_{k // 2}"
             return f"n+lambda_{(k + 1) // 2}" if k % 2 else f"2n-1+lambda_{k // 2}"
-        s, a, k = mono
+        s, a, k = self.algebra.exponents(mono)
         if s == 1:
             return f"lambda_{k + 1}"
         if k == 0:
@@ -155,8 +154,8 @@ def loop_space(n: int, ring: str) -> Space:
         if n < 3:
             raise DomainError(f"odd n must be >= 3, got {n}")
         gens = (
-            Generator("A", degree=0, shifted=-n, nilpotent=True, theta_sign=1),
-            Generator("U", degree=2 * n - 1, shifted=n - 1, theta_sign=-1),
+            Generator("A", shifted=-n, nilpotent=True, theta_sign=1),
+            Generator("U", shifted=n - 1, theta_sign=-1),
         )
         alg = Algebra(
             label=f"H(LS^{n};{ring})",
@@ -165,20 +164,14 @@ def loop_space(n: int, ring: str) -> Space:
             shift=n,
             unit_name="E",
         )
-        named = {
-            "A": alg.monomial_element((1, 0)),
-            "E": alg.unit(),
-            "U": alg.monomial_element((0, 1)),
-            "sigma1": alg.monomial_element((1, 1)),
-            "Theta": alg.monomial_element((0, 2)),
-        }
+        letters = {"A": (1, 0), "U": (0, 1), "sigma1": (1, 1), "Theta": (0, 2)}
     else:
         if n < 2:
             raise DomainError(f"even n must be >= 2, got {n}")
         gens = (
-            Generator("sigma1", degree=n - 1, shifted=-1, nilpotent=True, theta_sign=-1),
-            Generator("A", degree=0, shifted=-n, nilpotent=True, theta_sign=1),
-            Generator("Theta", degree=3 * n - 2, shifted=2 * n - 2, theta_sign=-1),
+            Generator("sigma1", shifted=-1, nilpotent=True, theta_sign=-1),
+            Generator("A", shifted=-n, nilpotent=True, theta_sign=1),
+            Generator("Theta", shifted=2 * n - 2, theta_sign=-1),
         )
         alg = Algebra(
             label=f"H(LS^{n};{ring})",
@@ -186,15 +179,13 @@ def loop_space(n: int, ring: str) -> Space:
             generators=gens,
             shift=n,
             unit_name="E",
-            extra_zero_rules=((1, 1, 0),),  # sigma1*A = 0
-            torsion_rules=((0, 1, 1),),  # 2*A*Theta = 0
+            # a monomial is Theta's exponent << 2 | A's bit << 1 | sigma1's bit
+            extra_zero_rules=(0b011,),  # sigma1*A = 0
+            torsion_rules=(0b110,),  # 2*A*Theta = 0
         )
-        named = {
-            "A": alg.monomial_element((0, 1, 0)),
-            "E": alg.unit(),
-            "sigma1": alg.monomial_element((1, 0, 0)),
-            "Theta": alg.monomial_element((0, 0, 1)),
-        }
+        letters = {"A": (0, 1, 0), "sigma1": (1, 0, 0), "Theta": (0, 0, 1)}
+    named = {name: alg.monomial_element(alg.monomial(exps)) for name, exps in letters.items()}
+    named["E"] = alg.unit()
     return Space(LOOP, n, ring, alg, named)
 
 
@@ -203,7 +194,7 @@ def based_loop_space(n: int, ring: str) -> Space:
     """Based loop space homology of S^n: the Pontrjagin ring Z[x], |x|=n-1."""
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    gens = (Generator("x", degree=n - 1, shifted=n - 1, theta_sign=-1),)
+    gens = (Generator("x", shifted=n - 1, theta_sign=-1),)
     alg = Algebra(
         label=f"H(OS^{n};{ring})",
         ring=ring,
@@ -211,7 +202,7 @@ def based_loop_space(n: int, ring: str) -> Space:
         shift=0,
         unit_name="1",
     )
-    named = {"x": alg.monomial_element((1,))}
+    named = {"x": alg.monomial_element(1)}
     return Space(OMEGA, n, ring, alg, named)
 
 
@@ -220,7 +211,7 @@ def sphere_space(n: int, ring: str) -> Space:
     """Homology of S^n with the intersection product."""
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    gens = (Generator("pt", degree=0, shifted=-n, nilpotent=True, theta_sign=1),)
+    gens = (Generator("pt", shifted=-n, nilpotent=True, theta_sign=1),)
     alg = Algebra(
         label=f"H(S^{n};{ring})",
         ring=ring,
@@ -229,7 +220,7 @@ def sphere_space(n: int, ring: str) -> Space:
         unit_name="fundamental",
     )
     named = {
-        "pt": alg.monomial_element((1,)),
+        "pt": alg.monomial_element(1),
         "fundamental": alg.unit(),
     }
     return Space(SPHERE, n, ring, alg, named)

@@ -211,7 +211,7 @@ def suite_presentation(n, rings, D, K):
         gens = [space.generator(g) for g in (("A", "U") if n % 2 else ("sigma1", "A", "Theta"))]
 
         def rebuild_fails(m):
-            built = reduce(operator.mul, (g**e for g, e in zip(gens, m)))
+            built = reduce(operator.mul, (g**e for g, e in zip(gens, alg.exponents(m))))
             return built != alg.monomial_element(m) and f"monomial {alg.monomial_str(m)} rebuilt as {built}"
 
         names = "A,U" if n % 2 else "A,sigma1,Theta"
@@ -222,9 +222,13 @@ def suite_presentation(n, rings, D, K):
         # except (n odd, k=1) where H_1 = 0 yet H_{2n-1} = <U>
         theta = space.generator("Theta")
 
+        def words(monos):
+            return [alg.monomial_str(m) for m in monos]
+
         def bijection_fails(k, src, dst):
             if n % 2 and k == 1:
-                return (src != [] or len(dst) != 1) and f"k=1 sharpness: H_1 basis {src}, H_{2*n-1} basis {dst}"
+                sharp = src == [] and len(dst) == 1
+                return not sharp and f"k=1 sharpness: H_1 basis {words(src)}, H_{2*n-1} basis {words(dst)}"
             images = [alg.monomial_element(m) * theta for m in src]
             if any(not img for img in images):
                 return f"k={k}: *Theta kills a basis class"
@@ -234,7 +238,7 @@ def suite_presentation(n, rings, D, K):
                 if next(iter(img.terms.values())) not in (1, -1):
                     return f"k={k}: non-unimodular image {img}"
             hit = {next(iter(img.terms)) for img in images}
-            return hit != set(dst) and f"k={k}: images {sorted(hit)} vs basis {dst}"
+            return hit != set(dst) and f"k={k}: images {words(sorted(hit))} vs basis {words(dst)}"
 
         checks.append(_check(
             f"{tag}: *Theta is a bijection H_k -> H_(k+2n-2) for 0<k<={D} (k=1 sharp for n odd)",
@@ -392,7 +396,7 @@ def suite_transfer(n, rings, D, K):
         x, y = alg.monomial_element(ma), alg.monomial_element(mb)
         lhs = (scale_1 * base.product(base.project(x), base.project(y))).rep
         rhs = (Fraction(1, dihedral(m).order ** 2) * qm.product(qm.project(x), qm.project(y))).rep
-        return lhs != rhs and f"m={m}, x={ma}, y={mb}"
+        return lhs != rhs and f"m={m}, x={alg.monomial_str(ma)}, y={alg.monomial_str(mb)}"
 
     checks.append(_check(
         f"LS^{n}/D_m: unscaled transfer products agree for m in 1..5, total degree <= {pair_bound}",

@@ -306,7 +306,7 @@ def test_criterion_07_structure_maps() -> None:
                             break
                         assert th(u * v) == th(u) * th(v)
 
-                based = [omega.algebra.monomial_element((k,)) for k in range(41)]
+                based = [omega.algebra.monomial_element(omega.algebra.monomial((k,))) for k in range(41)]
                 for k in range(41):
                     assert tho(based[k]) == reversal_power_sign(n, k) * based[k]
                     if n % 2 or (k * (k - 1)) % 4 == 0:
@@ -323,8 +323,8 @@ def test_criterion_07_structure_maps() -> None:
                 jb, ji = j_shriek(n, ring), j_star(n, ring)
                 a_cls = space.generator("A")
                 based_classes = [
-                    (omega.algebra.monomial_degree((k,)), omega.algebra.monomial_element((k,)))
-                    for k in range(PAIR_BOUND // (n - 1) + 1)
+                    (omega.algebra.monomial_degree(mono), omega.algebra.monomial_element(mono))
+                    for mono in map(omega.algebra.monomial, ((k,) for k in range(PAIR_BOUND // (n - 1) + 1)))
                 ]
                 for du, u in classes:
                     for dv, v in classes:

@@ -98,23 +98,23 @@ def test_unknown_name_lists_alternatives() -> None:
 
 def test_family_tags_odd() -> None:
     space = loop_space(3, "Q")
-    assert space.family_of((1, 0)) is None  # A
-    assert space.family_of((0, 0)) is None  # E
-    assert space.family_of((1, 1)) == "lambda_1"
-    assert space.family_of((1, 2)) == "n-1+lambda_1"
-    assert space.family_of((0, 1)) == "n+lambda_1"
-    assert space.family_of((0, 2)) == "2n-1+lambda_1"
-    assert space.family_of((1, 5)) == "lambda_3"
+    assert space.family_of(space.algebra.monomial((1, 0))) is None  # A
+    assert space.family_of(space.algebra.monomial((0, 0))) is None  # E
+    assert space.family_of(space.algebra.monomial((1, 1))) == "lambda_1"
+    assert space.family_of(space.algebra.monomial((1, 2))) == "n-1+lambda_1"
+    assert space.family_of(space.algebra.monomial((0, 1))) == "n+lambda_1"
+    assert space.family_of(space.algebra.monomial((0, 2))) == "2n-1+lambda_1"
+    assert space.family_of(space.algebra.monomial((1, 5))) == "lambda_3"
 
 
 def test_family_tags_even() -> None:
     space = loop_space(4, "Z")
-    assert space.family_of((0, 1, 0)) is None  # A
-    assert space.family_of((0, 0, 0)) is None  # E
-    assert space.family_of((1, 0, 0)) == "lambda_1"
-    assert space.family_of((1, 0, 2)) == "lambda_3"
-    assert space.family_of((0, 1, 1)) == "n-1+lambda_1"
-    assert space.family_of((0, 0, 2)) == "2n-1+lambda_2"
+    assert space.family_of(space.algebra.monomial((0, 1, 0))) is None  # A
+    assert space.family_of(space.algebra.monomial((0, 0, 0))) is None  # E
+    assert space.family_of(space.algebra.monomial((1, 0, 0))) == "lambda_1"
+    assert space.family_of(space.algebra.monomial((1, 0, 2))) == "lambda_3"
+    assert space.family_of(space.algebra.monomial((0, 1, 1))) == "n-1+lambda_1"
+    assert space.family_of(space.algebra.monomial((0, 0, 2))) == "2n-1+lambda_2"
 
 
 def test_family_tags_match_degrees() -> None:
@@ -152,7 +152,8 @@ def test_dimension_bounds() -> None:
         based_loop_space(1, "Q")
     with pytest.raises(DomainError):
         sphere_space(1, "Q")
-    assert loop_space(2, "Q").algebra.basis(0) == [(0, 1, 0)]
+    alg = loop_space(2, "Q").algebra
+    assert alg.basis(0) == [alg.monomial((0, 1, 0))]
 
 
 def test_negative_table_bound_rejected() -> None:

@@ -14,7 +14,6 @@ byte-deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -82,6 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def betti_to_json(table: BettiTable) -> str:
+    import json  # here, not at the top: start-up is most of a command's time, and only JSON output needs it
+
     payload = {
         "space": table.space,
         "n": table.n,
@@ -138,6 +139,8 @@ def cmd_eval(args) -> int:
     value = evaluate(args.expression, context)
     text = format_value(value)
     if args.format == "json":
+        import json
+
         print(json.dumps({"value": text}, separators=(",", ":")))
     else:
         print(text)

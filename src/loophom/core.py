@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 RING_Q = "Q"
 RING_Z = "Z"
@@ -48,8 +48,7 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(namedtuple("Generator", "name shifted nilpotent theta_sign", defaults=(False, 1))):
     """One generator of a presented algebra.
 
     `shifted` is the degree in the product grading (homological degree minus
@@ -57,10 +56,7 @@ class Generator:
     no Koszul sign arises.  `theta_sign` is the eigenvalue under loop reversal.
     """
 
-    name: str
-    shifted: int
-    nilpotent: bool = False
-    theta_sign: int = 1
+    __slots__ = ()
 
 
 class Algebra:
@@ -358,8 +354,27 @@ class Element:
                         raw.append((c1 * c2, mono))
             return self.algebra.normalize(raw)
         if is_scalar(other):
-            return self.algebra.normalize([(c * other, m) for m, c in self.terms.items()])
+            return self._scale(other)
         return NotImplemented
+
+    def _scale(self, k) -> "Element":
+        """k * self for a scalar k.
+
+        Over Q a nonzero scalar keeps every term nonzero on the same
+        monomial, so the result is normal as it stands once an integral
+        `Fraction` coefficient is turned back into an `int`.  Over Z a torsion
+        coefficient must be reduced mod 2, so `normalize` runs.
+        """
+        alg = self.algebra
+        if alg.ring != RING_Q:
+            return alg.normalize([(c * k, m) for m, c in self.terms.items()])
+        if not k:
+            return Element(alg, {})
+        terms = {m: c * k for m, c in self.terms.items()}
+        for m, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[m] = c.numerator
+        return Element(alg, terms)
 
     def __rmul__(self, other):
         # __mul__ looked up at call time, so a wrapper put on it (perfbench/tracer.py) sees scalar * element too

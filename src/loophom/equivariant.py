@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DomainError, Element, RING_Q, StructureError, is_scalar, power, scaled_str
@@ -54,21 +53,42 @@ from .maps import reversal_sign, theta_star
 from .spaces import LOOP, OMEGA, BettiTable, Space
 
 
-@dataclass(frozen=True)
 class Subgroup:
     """A finite subgroup of O(2): m rotations and, with `reflections`, the m
     reflections t -> rotation + k/m - t; `rotation` is kept reduced mod 1/m.
+
+    An immutable value: it equals and hashes like another `Subgroup` with the
+    same canonical triple, and never equals a value of another type.
     """
 
-    m: int
-    reflections: bool
-    rotation: Fraction = Fraction(0)
+    __slots__ = ("m", "reflections", "rotation")
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise DomainError(f"subgroup parameter m must be >= 1, got {self.m}")
-        rotation = Fraction(self.rotation) % Fraction(1, self.m) if self.reflections else Fraction(0)
-        object.__setattr__(self, "rotation", rotation)
+    def __init__(self, m: int, reflections: bool, rotation=0):
+        if type(m) is not int or m < 1:
+            raise DomainError(f"subgroup parameter m must be an int >= 1, got {m!r}")
+        rotation = Fraction(rotation) % Fraction(1, m) if reflections else Fraction(0)
+        for name, value in zip(self.__slots__, (m, reflections, rotation)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Subgroup is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.m, self.reflections, self.rotation
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Subgroup else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return Subgroup, self._key()
+
+    def __repr__(self):
+        return f"Subgroup(m={self.m!r}, reflections={self.reflections!r}, rotation={self.rotation!r})"
 
     @property
     def order(self) -> int:

@@ -20,7 +20,7 @@ Fraction), algebra `Element`s, or quotient `QElement`s.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import DomainError, Element, StructureError, int_from_digits, power, scalar_str
@@ -43,12 +43,8 @@ class ExprSyntaxError(ValueError):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME, NUMBER, one of +-*^/(),, or END
-    text: str
-    line: int
-    col: int
+#: `kind` is NAME, NUMBER, one of +-*^/(),, or END
+Token = namedtuple("Token", "kind text line col")
 
 
 def tokenize(text: str) -> list:
@@ -97,50 +93,15 @@ def tokenize(text: str) -> list:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Name:
-    ident: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: object
-    line: int
-    col: int
+# Every node ends with the 1-based line and column of the token that made it:
+# the operator of a Bin or Pow, else its first token.  Nodes are named tuples,
+# so nodes of one kind with equal fields compare and hash alike.
+Num = namedtuple("Num", "value line col")  # value: Fraction
+Name = namedtuple("Name", "ident line col")
+Call = namedtuple("Call", "fn args line col")  # args: tuple of nodes
+Bin = namedtuple("Bin", "op left right line col")  # op: '+', '-', '*'
+Pow = namedtuple("Pow", "base exponent line col")  # exponent: int
+Neg = namedtuple("Neg", "child line col")
 
 
 class _Parser:

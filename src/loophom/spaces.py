@@ -24,7 +24,7 @@ at n-1, E at n, U at 2n-1, Theta at 3n-2.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     RING_Q,
@@ -116,23 +116,14 @@ class Space:
         return f"Space({self.kind}, n={self.n}, ring={self.ring})"
 
 
-@dataclass(frozen=True)
-class TableRow:
-    degree: int
-    rank: int
-    torsion: tuple
-    generators: tuple
-    family: object  # str | None
+#: one nonzero degree of a table; `family` is a str or None
+TableRow = namedtuple("TableRow", "degree rank torsion generators family")
 
 
-@dataclass(frozen=True)
-class BettiTable:
-    space: str
-    n: int
-    ring: str
-    group: object  # str | None
-    max_degree: int
-    rows: tuple
+class BettiTable(namedtuple("BettiTable", "space n ring group max_degree rows")):
+    """The nonzero `rows` of a space's (or, with a `group` label, a quotient's) table up to `max_degree`."""
+
+    __slots__ = ()
 
     def rank(self, degree: int) -> int:
         for row in self.rows:

@@ -15,7 +15,7 @@ resolves the degree and power bounds; each suite takes them as given.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice, repeat
@@ -49,11 +49,11 @@ POWER_BOUND = 25
 REVERSAL_POWER_BOUND = 40
 TORSION_POWER_BOUND = 20
 
-@dataclass
-class Check:
-    label: str
-    passed: bool
-    detail: str = ""
+
+class Check(namedtuple("Check", "label passed detail", defaults=("",))):
+    """One identity in one context; `detail` names the first counterexample."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         mark = "ok  " if self.passed else "FAIL"
@@ -63,10 +63,10 @@ class Check:
         return out
 
 
-@dataclass
-class Report:
-    title: str
-    checks: list = field(default_factory=list)
+class Report(namedtuple("Report", "title checks")):
+    """The checks of one `run`, under a title."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from loophom import DomainError, cli, loop_space
+from loophom import DomainError, cli, loop_space, verify
 from loophom.core import POWER_BITS
 from loophom.expr import EvalContext, evaluate
 
@@ -219,6 +221,18 @@ def test_verify_restricts_to_requested_ring(capsys) -> None:
     assert ";Q)" not in out
 
 
+def test_verify_report_reads_its_checks() -> None:
+    report = verify.run("main-theorem", ns=[3], degree_bound=10, power_bound=5)
+    assert report.title == "verify main-theorem: n in [3], rings ['Q', 'Z'], degree bound 10"
+    assert report.passed and all(c.passed and c.detail == "" for c in report.checks)
+    lines = [c.line() for c in report.checks]
+    assert report.render().splitlines() == [report.title, *lines, f"{len(lines)}/{len(lines)} checks passed"]
+    made_up = verify.Check("made up", False, "x=1")
+    assert made_up.line() == "[FAIL] made up  -- x=1"
+    assert verify.Check("fine", True).detail == ""
+    assert not verify.Report("t", [*report.checks, made_up]).passed
+
+
 # ----------------------------------------------------------------------
 # the installed entry point
 # ----------------------------------------------------------------------
@@ -310,3 +324,19 @@ def test_console_script_end_to_end() -> None:
     assert result.returncode == 0
     assert result.stdout == "16*q(U^6)\n"
     assert result.stderr == ""
+
+
+def _child(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=True)
+
+
+def test_cli_imports_no_dataclasses_inspect_or_json() -> None:
+    # start-up is most of an eval, and no command needs these (dataclasses pulls in the next four)
+    listing = "import sys; print('\\n'.join(sys.modules))"
+    bare = set(_child("-c", listing).stdout.split())
+    added = set(_child("-c", "import loophom.cli; " + listing).stdout.split()) - bare
+    assert "loophom.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}, sorted(added)
+    result = _child("-m", "loophom.cli", "eval", "U", "--n", "3", "--format", "json")
+    assert (result.stdout, result.stderr) == ('{"value":"U"}\n', "")

@@ -183,8 +183,10 @@ def test_a_theta_multiples_are_two_torsion_over_z(k: int) -> None:
     space = loop_space(4, "Z")
     cls = space.generator("A") * space.generator("Theta") ** k
     assert is_two_torsion(cls)
-    assert 2 * cls == space.algebra.zero()
+    assert 2 * cls == space.algebra.zero() == cls * 2
     assert 5 * cls == cls
+    theta_k = space.generator("Theta") ** k
+    assert (cls + theta_k) * 2 == 2 * theta_k
 
 
 def test_a_theta_multiples_vanish_over_q() -> None:
@@ -239,7 +241,7 @@ def test_unit_is_two_sided(data) -> None:
 def test_scalars_act_like_repeated_addition(data) -> None:
     space, a = data
     assert 2 * a == a + a
-    assert 0 * a == space.algebra.zero()
+    assert 0 * a == space.algebra.zero() == a * 0 == a * Fraction(0)
     assert a * 3 == a + a + a
     if space.ring == "Q":
         assert Fraction(1, 2) * a == a * Fraction(1, 2)
@@ -367,6 +369,15 @@ def test_checks_survive_a_warm_monomial_memo(ring: str) -> None:
     assert alg.normalize([(3, alg.monomial([0, 0, 1]))]) == 3 * loop_space(4, ring).generator("Theta")
 
 
+def test_generator_keeps_its_defaults_and_keywords() -> None:
+    g = Generator("x", 2)
+    assert (g.name, g.shifted, g.nilpotent, g.theta_sign) == ("x", 2, False, 1)
+    assert Generator("A", shifted=-3, nilpotent=True, theta_sign=-1) == Generator("A", -3, True, -1)
+    assert Generator(name="U", shifted=2, theta_sign=-1).nilpotent is False
+    with pytest.raises(AttributeError):
+        g.name = "y"
+
+
 def test_integral_coefficients_over_q_are_ints() -> None:
     space = loop_space(3, "Q")
     u = space.generator("U")
@@ -374,6 +385,8 @@ def test_integral_coefficients_over_q_are_ints() -> None:
     assert u * Fraction(4, 2) == 2 * u
     assert hash(u * Fraction(4, 2)) == hash(2 * u)
     assert type((u * Fraction(4, 2)).coefficient(u_mono)) is int
+    back = Fraction(1, 2) * u * 2
+    assert back == u and hash(back) == hash(u) and type(back.coefficient(u_mono)) is int
     assert type(space.algebra.scalar(Fraction(6, 3))) is int
     half = u / 2
     assert half.coefficient(u_mono) == Fraction(1, 2)
@@ -415,6 +428,8 @@ def test_bool_is_not_a_scalar() -> None:
     for attempt in (
         lambda: u * True,
         lambda: False * u,
+        lambda: True * loop_space(3, "Z").generator("U"),
+        lambda: loop_space(3, "Z").generator("U") * False,
         lambda: u / True,
         lambda: u**True,
         lambda: space.algebra.scalar(True),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -84,6 +86,27 @@ def test_subgroup_rotation_is_canonical() -> None:
     assert conjugate_dihedral(1, Fraction(1, 3)) != theta_group()
 
 
+def test_subgroup_is_an_immutable_value() -> None:
+    group = theta_group()
+    for name in ("m", "reflections", "rotation", "other"):
+        with pytest.raises(AttributeError):
+            setattr(group, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(group, name)
+    assert (group.m, group.reflections, group.rotation) == (1, True, Fraction(1, 2))
+    assert repr(group) == "Subgroup(m=1, reflections=True, rotation=Fraction(1, 2))"
+    assert copy.copy(group) == group == pickle.loads(pickle.dumps(group))
+
+
+def test_subgroups_compare_by_canonical_triple_only() -> None:
+    assert conjugate_dihedral(1, Fraction(3, 2)) == theta_group()
+    assert hash(conjugate_dihedral(1, Fraction(3, 2))) == hash(theta_group())
+    assert cyclic(2) != dihedral(1)  # both of order 2
+    assert theta_group() != (1, True, Fraction(1, 2))
+    assert (1, True, Fraction(1, 2)) != theta_group()
+    assert {theta_group(): "theta"}.get((1, True, Fraction(1, 2))) is None
+
+
 def test_equal_groups_share_one_quotient() -> None:
     space = loop_space(3, "Q")
     assert quotient(space, conjugate_dihedral(1, Fraction(3, 2))) is quotient(space, theta_group())
@@ -101,10 +124,11 @@ def test_a_products_refuse_other_reflection_quotients() -> None:
 
 
 def test_subgroup_validation() -> None:
-    with pytest.raises(DomainError):
-        cyclic(0)
-    with pytest.raises(DomainError):
-        dihedral(-1)
+    # a float or bool m would give a label such as "C2.5" or "CTrue" and a non-integral order
+    for m in (0, -1, 2.5, True):
+        for make in (cyclic, dihedral):
+            with pytest.raises(DomainError):
+                make(m)
 
 
 # ----------------------------------------------------------------------

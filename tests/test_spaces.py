@@ -7,8 +7,10 @@ import pytest
 from loophom import (
     DomainError,
     based_loop_space,
+    dihedral,
     loop_space,
     make_space,
+    quotient,
     sphere_space,
 )
 
@@ -182,3 +184,29 @@ def test_table_lookup_helpers() -> None:
     assert table.rank(1) == 0
     assert table.torsion(6) == (2,)
     assert table.torsion(3) == ()
+
+
+def test_table_fields_of_a_loop_table() -> None:
+    table = loop_space(4, "Z").betti(6)
+    assert (table.space, table.n, table.ring, table.group, table.max_degree) == ("loop", 4, "Z", None, 6)
+    rows = [(r.degree, r.rank, r.torsion, r.generators, r.family) for r in table.rows]
+    assert rows == [
+        (0, 1, (), ("A",), None),
+        (3, 1, (), ("sigma1",), "lambda_1"),
+        (4, 1, (), ("E",), None),
+        (6, 0, (2,), ("A*Theta",), "n-1+lambda_1"),
+    ]
+
+
+def test_table_fields_of_a_quotient_table() -> None:
+    table = quotient(loop_space(3, "Q"), dihedral(1)).betti(8)
+    assert (table.space, table.n, table.ring, table.group, table.max_degree) == ("loop", 3, "Q", "D1", 8)
+    rows = [(r.degree, r.rank, r.torsion, r.generators, r.family) for r in table.rows]
+    assert rows == [
+        (0, 1, (), ("q(A)",), None),
+        (3, 1, (), ("q(E)",), None),
+        (4, 1, (), ("q(A*U^2)",), "n-1+lambda_1"),
+        (7, 1, (), ("q(U^2)",), "2n-1+lambda_1"),
+        (8, 1, (), ("q(A*U^4)",), "n-1+lambda_2"),
+    ]
+    assert (table.rank(7), table.rank(5), table.torsion(7)) == (1, 0, ())

@@ -179,10 +179,7 @@ def main(argv=None) -> int:
         if args.command == "betti":
             return cmd_betti(args)
         return cmd_verify(args)
-    except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, StructureError) as exc:
+    except (ExprSyntaxError, DomainError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

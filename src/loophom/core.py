@@ -433,11 +433,13 @@ def is_scalar(value) -> bool:
 
 #: largest bit length of a numerator or denominator in a power (about 315,653 decimal digits)
 POWER_BITS = 1 << 20
+#: most terms a power may have; squaring costs the square of the count, and coefficient bits barely grow
+POWER_TERMS = 128
 
 
 def power(base, k, unit, mul, coefficients):
-    """base**k by square-and-multiply: unit() for k = 0, else at most 2*log2(k) products mul(x, y);
-    DomainError once a coefficient of a partial power has a numerator or denominator past POWER_BITS bits."""
+    """base**k by square-and-multiply: unit() for k = 0, else at most 2*log2(k) products mul(x, y); DomainError
+    once a partial power has more than POWER_TERMS terms or a numerator or denominator past POWER_BITS bits."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"exponent must be a natural number, got {k!r}")
     out = unit() if k == 0 else base
@@ -445,6 +447,8 @@ def power(base, k, unit, mul, coefficients):
         out = mul(out, out)
         if bit == "1":
             out = mul(out, base)
+        if len(coefficients(out)) > POWER_TERMS:
+            raise DomainError(f"a power with exponent {k} has more than {POWER_TERMS} terms")
         if any(max(abs(c.numerator), c.denominator).bit_length() > POWER_BITS for c in coefficients(out)):
             raise DomainError(f"a power with exponent {k} has a coefficient of more than {POWER_BITS} bits")
     return out

@@ -178,18 +178,16 @@ class Quotient:
         return not self.group.reflections or self._sign(mono) == 1
 
     def action_sum(self, elt: Element) -> Element:
-        """sum_{g in G} g_*(elt), by explicit enumeration of the elements.
+        """sum_{g in G} g_*(elt), summed over the group's two kinds of element.
 
-        The m rotations act as the identity; the m reflections, if any, act
-        by loop reversal.
+        The m rotations act as the identity and the m reflections, if any,
+        by loop reversal: the sum is m*(elt + theta_*(elt)), or m*elt.
         """
-        images = [elt] * self.group.m
+        if elt.algebra is not self.space.algebra:
+            raise StructureError(f"the action sum expects an element of {self.space.algebra.label}")
         if self.group.reflections:
-            images += [self._theta(elt)] * self.group.m
-        total = self.space.algebra.zero()
-        for image in images:
-            total = total + image
-        return total
+            elt = elt + self._theta(elt)
+        return elt * self.group.m
 
     # -- the transfer product --------------------------------------------
 

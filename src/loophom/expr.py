@@ -46,11 +46,15 @@ class ExprSyntaxError(ValueError):
 #: `kind` is NAME, NUMBER, one of +-*^/(),, or END
 Token = namedtuple("Token", "kind text line col")
 
+#: deepest nesting of parentheses and calls; parsing and evaluation recurse once per level
+MAX_NESTING = 100
+
 
 def tokenize(text: str) -> list:
     tokens = []
     line, col = 1, 1
     i = 0
+    depth = 0  # parentheses opened and not yet closed
     while i < len(text):
         ch = text[i]
         if ch == "\n":
@@ -79,6 +83,9 @@ def tokenize(text: str) -> list:
             i = j
             continue
         if ch in "+-*^/(),":
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise ExprSyntaxError(f"more than {MAX_NESTING} nested parentheses and calls", line, col)
             tokens.append(Token(ch, ch, line, col))
             col += 1
             i += 1
@@ -380,11 +387,14 @@ class Evaluator:
                 return power(base, node.exponent, lambda: 1, operator.mul, lambda c: (c,))
             return base**node.exponent
         if isinstance(node, Bin):
-            lv = self.eval(node.left)
-            rv = self.eval(node.right)
-            if node.op == "*":
-                return self._mul(node, lv, rv)
-            return self._add_like(node, lv, rv)
+            chain = []  # a + b + ... nests to the left without bound: walk its spine in a loop
+            while isinstance(node, Bin):
+                chain.append(node)
+                node = node.left
+            value = self.eval(node)
+            for link in reversed(chain):
+                value = (self._mul if link.op == "*" else self._add_like)(link, value, self.eval(link.right))
+            return value
         if isinstance(node, Call):
             return self._call(node)
         raise StructureError(f"unknown syntax node {node!r}")

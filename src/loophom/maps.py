@@ -30,13 +30,15 @@ tying these together.
 from __future__ import annotations
 
 from .core import DomainError, Element, StructureError
-from .spaces import LOOP, OMEGA, SPHERE, Space, based_loop_space, loop_space, sphere_space
+from .spaces import LOOP, OMEGA, Space, based_loop_space, loop_space, sphere_space
 
 
 class LinearMap:
-    """A degree-homogeneous linear map defined by images of basis monomials.
+    """A degree-homogeneous linear map sending each basis monomial to a signed monomial or to 0.
 
-    `rule` maps a source monomial to a target `Element`; images are memoized.
+    `rule` maps a source monomial to a pair (coefficient, target monomial),
+    or to None for 0; the target's `normalize` applies its zero and torsion
+    rules to the images.
     """
 
     def __init__(self, source: Space, target: Space, rule, label: str):
@@ -44,14 +46,10 @@ class LinearMap:
         self.target = target
         self.label = label
         self._rule = rule
-        self._images: dict = {}
 
     def image_of_monomial(self, mono) -> Element:
-        image = self._images.get(mono)
-        if image is None:
-            image = self._rule(mono)
-            self._images[mono] = image
-        return image
+        image = self._rule(mono)
+        return self.target.algebra.normalize([image] if image else [])
 
     def __call__(self, elt: Element) -> Element:
         if not isinstance(elt, Element):
@@ -63,8 +61,10 @@ class LinearMap:
             )
         raw = []
         for mono, coeff in elt.terms.items():
-            for m2, c2 in self.image_of_monomial(mono).terms.items():
-                raw.append((coeff * c2, m2))
+            image = self._rule(mono)
+            if image:
+                c, m2 = image
+                raw.append((coeff * c, m2))
         return self.target.algebra.normalize(raw)
 
     def __repr__(self):
@@ -91,19 +91,13 @@ def reversal_sign(space: Space):
 
 def theta_star(space: Space) -> LinearMap:
     """Loop reversal on homology (an involution and product endomorphism)."""
-    alg = space.algebra
     sign = reversal_sign(space)
-    return LinearMap(space, space, lambda mono: alg.normalize([(sign(mono), mono)]), f"theta on {alg.label}")
+    return LinearMap(space, space, lambda mono: (sign(mono), mono), f"theta on {space.algebra.label}")
 
 
 def chi_star(space: Space) -> LinearMap:
     """Comparison between the two reflection quotients; the identity map."""
-    alg = space.algebra
-
-    def rule(mono):
-        return alg.monomial_element(mono)
-
-    return LinearMap(space, space, rule, f"chi on {alg.label}")
+    return LinearMap(space, space, lambda mono: (1, mono), f"chi on {space.algebra.label}")
 
 
 def ev_star(n: int, ring: str) -> LinearMap:
@@ -111,15 +105,9 @@ def ev_star(n: int, ring: str) -> LinearMap:
     source = loop_space(n, ring)
     target = sphere_space(n, ring)
     a_mono = source.algebra.monomial((1, 0) if n % 2 else (0, 1, 0))
-
-    def rule(mono):
-        if mono == a_mono:
-            return target.generator("pt")
-        if mono == 0:
-            return target.unit
-        return target.algebra.zero()
-
-    return LinearMap(source, target, rule, f"ev0 on {source.algebra.label}")
+    # A to the point class, E to the fundamental class (the unit), everything else to 0
+    images = {a_mono: (1, target.algebra.monomial((1,))), 0: (1, 0)}
+    return LinearMap(source, target, images.get, f"ev0 on {source.algebra.label}")
 
 
 def j_shriek(n: int, ring: str) -> LinearMap:
@@ -128,9 +116,7 @@ def j_shriek(n: int, ring: str) -> LinearMap:
 
     def rule(mono):
         *nilpotent, k = source.algebra.exponents(mono)
-        if any(nilpotent):
-            return target.algebra.zero()
-        return target.algebra.monomial_element(target.algebra.monomial((k if n % 2 else 2 * k,)))
+        return None if any(nilpotent) else (1, target.algebra.monomial((k if n % 2 else 2 * k,)))
 
     return LinearMap(source, target, rule, f"j! on {source.algebra.label}")
 
@@ -148,6 +134,6 @@ def j_star(n: int, ring: str) -> LinearMap:
         else:
             # A for k = 0, else the torsion class A*Theta^{k/2}; normalization kills it over Q
             exps = (0, 1, k // 2)
-        return target.algebra.monomial_element(target.algebra.monomial(exps))
+        return 1, target.algebra.monomial(exps)
 
     return LinearMap(source, target, rule, f"j* on {source.algebra.label}")

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from loophom import DomainError, cli, loop_space, verify
-from loophom.core import POWER_BITS
-from loophom.expr import EvalContext, evaluate
+from loophom import DomainError, based_loop_space, cli, dihedral, loop_space, verify
+from loophom.core import POWER_BITS, POWER_TERMS
+from loophom.expr import MAX_NESTING, EvalContext, evaluate
 
 from oracles import decimal_value
 
@@ -249,18 +249,60 @@ def test_eval_huge_power_is_fast() -> None:
     assert (result.returncode, result.stdout, result.stderr) == (0, "U^100000000\n", "")
 
 
-def _refused_within_a_second(*argv: str) -> None:
+def _refused_within_a_second(*argv: str, ceiling: str = "bits") -> None:
     # a child process, so that a missing refusal fails the test instead of running for hours
     result = subprocess.run(
         [sys.executable, "-m", "loophom.cli", "eval", *argv], capture_output=True, text=True, timeout=1.0
     )
     assert (result.returncode, result.stdout) == (2, "")
-    assert "bits" in result.stderr
+    assert ceiling in result.stderr
 
 
 @pytest.mark.parametrize("argv", [("mu^100000000", "--group", "D1"), ("(2*U)^100000000",)])
 def test_eval_huge_element_power_is_refused_at_once(argv) -> None:
     _refused_within_a_second(argv[0], "--n", "3", *argv[1:])
+
+
+@pytest.mark.parametrize("argv", [("(x+1)^100000", "--space", "omega"), ("(U+E)^100000",)])
+def test_eval_power_of_a_sum_is_refused_at_once(argv) -> None:
+    # binomial coefficients grow by a bit per unit of exponent, so the term count trips first
+    _refused_within_a_second(argv[0], "--n", "3", *argv[1:], ceiling=f"more than {POWER_TERMS} terms")
+
+
+def test_eval_two_term_power_stays_under_the_term_ceiling() -> None:
+    result = subprocess.run(
+        [sys.executable, "-m", "loophom.cli", "eval", "(U+A)^6325", "--n", "3"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "6325*A*U^6324 + U^6325\n", "")
+
+
+def test_element_powers_up_to_the_term_limit() -> None:
+    ctx = EvalContext(based_loop_space(3, "Q"))
+    assert len(evaluate(f"(x+1)^{POWER_TERMS - 1}", ctx).terms) == POWER_TERMS
+    with pytest.raises(DomainError, match=f"more than {POWER_TERMS} terms"):
+        evaluate(f"(x+1)^{POWER_TERMS}", ctx)
+    q_ctx = EvalContext(loop_space(3, "Q"), dihedral(1))
+    assert len(evaluate(f"(e+mu)^{POWER_TERMS - 1}", q_ctx).rep.terms) == POWER_TERMS
+    with pytest.raises(DomainError, match=f"more than {POWER_TERMS} terms"):
+        evaluate(f"(e+mu)^{POWER_TERMS}", q_ctx)
+
+
+def test_eval_long_chains_and_deep_nesting_from_the_command_line() -> None:
+    for text, out in (("+".join(["U"] * 5000), "5000*U\n"), ("*".join(["U"] * 5000), "U^5000\n")):
+        result = subprocess.run(
+            [sys.executable, "-m", "loophom.cli", "eval", text, "--n", "3"], capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
+    for depth in (MAX_NESTING + 1, 1200):
+        text = "(" * depth + "U" + ")" * depth
+        result = subprocess.run(
+            [sys.executable, "-m", "loophom.cli", "eval", text, "--n", "3"], capture_output=True, text=True, timeout=60
+        )
+        message = f"line 1, column {MAX_NESTING + 1}: more than {MAX_NESTING} nested parentheses and calls"
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: syntax error at {message}\n")
 
 
 def test_eval_huge_scalar_power_is_refused_at_once() -> None:

@@ -255,6 +255,19 @@ def test_transfer_of_projection_is_the_action_sum(group) -> None:
             assert q.transfer(q.project(z)) == q.action_sum(z)
 
 
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.label)
+def test_action_sum_of_sums_mixing_fixed_and_negated_monomials(group) -> None:
+    # U is negated by reversal and E, A fixed: tr(q(z)) = sum_g g z on their combinations too
+    space = loop_space(3, "Q")
+    q = quotient(space, group)
+    a, e, u = (space.generator(name) for name in ("A", "E", "U"))
+    for z in (u + e, 3 * u - Fraction(1, 2) * a * u + a, u * u + u - 7 * e, space.algebra.zero()):
+        assert q.transfer(q.project(z)) == q.action_sum(z)
+    assert q.action_sum(u + e) == group.order * (e if group.reflections else u + e)
+    with pytest.raises(StructureError):
+        q.action_sum(based_loop_space(3, "Q").generator("x"))
+
+
 def test_transfer_rejects_non_invariant_representatives() -> None:
     from loophom.equivariant import QElement
 

@@ -21,7 +21,7 @@ from loophom import (
     theta_group,
     values_equal,
 )
-from loophom.expr import Bin, Call, Name, Neg, Num, Pow
+from loophom.expr import MAX_NESTING, Bin, Call, Name, Neg, Num, Pow
 
 from exprgen import ExpressionSource
 
@@ -117,6 +117,28 @@ def test_long_literals_parse_exactly() -> None:
     assert parse(f"U^{digits}") == Pow(Name("U", 1, 1), evaluate(digits, ctx), 1, 2)
 
 
+def test_nesting_up_to_the_bound_parses_and_evaluates() -> None:
+    ctx = _ctx("loop", 3)
+    u = loop_space(3, "Q").generator("U")
+    k = MAX_NESTING
+    assert evaluate("(" * k + "U" + ")" * k, ctx) == u
+    assert evaluate("theta(" * k + "U" + ")" * k, ctx) == (-1) ** k * u
+    assert evaluate("(theta(" * (k // 2) + "U" + "))" * (k // 2), ctx) == (-1) ** (k // 2) * u
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])
+def test_nesting_past_the_bound_is_a_syntax_error_at_the_opening_token(depth: int) -> None:
+    with pytest.raises(ExprSyntaxError, match="nested") as info:
+        parse("(" * depth + "U" + ")" * depth)
+    assert (info.value.line, info.value.col) == (1, MAX_NESTING + 1)
+    with pytest.raises(ExprSyntaxError) as info:
+        parse("theta(" * depth + "U" + ")" * depth)
+    assert (info.value.line, info.value.col) == (1, 6 * MAX_NESTING + 6)
+    with pytest.raises(ExprSyntaxError) as info:
+        parse("U + (\n" * depth + "U" + ")" * depth)
+    assert (info.value.line, info.value.col) == (MAX_NESTING + 1, 5)
+
+
 def test_zero_denominator_is_a_syntax_error() -> None:
     with pytest.raises(ExprSyntaxError, match="zero denominator"):
         parse("1/0")
@@ -194,6 +216,19 @@ def test_a_product_expressions() -> None:
     combined = evaluate("Atheta(eta, eta + e)", ctx4)
     expected = evaluate("Atheta(eta, eta)", ctx4) + evaluate("Atheta(eta, e)", ctx4)
     assert combined == expected
+
+
+def test_long_sums_and_products_evaluate_left_to_right() -> None:
+    ctx = _ctx("loop", 3)
+    u = loop_space(3, "Q").generator("U")
+    assert evaluate("+".join(["U"] * 5000), ctx) == 5000 * u
+    assert evaluate("*".join(["U"] * 5000), ctx) == u**5000
+    assert evaluate("-U" + "+U-U" * 2500 + "*U", ctx) == -u * u
+    # the leftmost failing operand is the one reported
+    with pytest.raises(DomainError, match="unknown name 'nope'"):
+        evaluate("+".join(["U"] * 5000 + ["nope", "spin(U)"]), ctx)
+    with pytest.raises(DomainError, match="cannot multiply a homology class and a quotient class"):
+        evaluate("*".join(["U"] * 5000 + ["mu", "nope"]), _ctx("loop", 3, group=dihedral(1)))
 
 
 def test_eval_name_errors() -> None:

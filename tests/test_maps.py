@@ -73,6 +73,27 @@ def test_reversal_is_a_product_endomorphism(n: int) -> None:
             assert theta(u * v) == theta(u) * theta(v)
 
 
+def _every_map(n: int, ring: str) -> list:
+    spaces = (loop_space(n, ring), based_loop_space(n, ring))
+    return [f(space) for f in (theta_star, chi_star) for space in spaces] + [
+        f(n, ring) for f in (ev_star, j_shriek, j_star)
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("ring", ["Q", "Z"])
+def test_image_of_monomial_is_the_map_on_that_monomial(n: int, ring: str) -> None:
+    # every structure map sends a basis monomial to +- one monomial or to 0
+    for mp in _every_map(n, ring):
+        alg = mp.source.algebra
+        for d in range(41):
+            for m in alg.basis(d):
+                image = mp.image_of_monomial(m)
+                assert image == mp(alg.monomial_element(m)), (mp, m)
+                assert image.algebra is mp.target.algebra
+                assert all(c in (1, -1) for c in image.terms.values()) and len(image.terms) <= 1, (mp, m)
+
+
 def test_chi_is_the_identity() -> None:
     for space in (loop_space(3, "Q"), loop_space(4, "Z"), based_loop_space(3, "Q")):
         chi = chi_star(space)

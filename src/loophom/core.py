@@ -188,12 +188,13 @@ class Algebra:
     def normalize(self, terms) -> "Element":
         """Collect (coefficient, monomial) pairs into a normal-form element.
 
-        Applies the rules: zero monomials are dropped, torsion coefficients
-        are reduced mod 2 over Z, and zero coefficients are pruned.  Every
-        monomial must be a non-negative `int` of this algebra, else
-        `StructureError`.  Every coefficient goes through `scalar`, except an
-        exact `int`, which `scalar` would return unchanged.  An integral
-        `Fraction` sum comes out as `int`.
+        The entry point for terms from outside an `Element`.  Applies the
+        rules: zero monomials are dropped, torsion coefficients are reduced
+        mod 2 over Z, and zero coefficients are pruned.  Every monomial must
+        be a non-negative `int` of this algebra, else `StructureError`.
+        Every coefficient goes through `scalar`, except an exact `int`, which
+        `scalar` would return unchanged.  An integral `Fraction` sum comes
+        out as `int`.
         """
         k, nil, top, zero_from = self._k, self._nil, self._top, self._zero_from
         acc: dict = {}
@@ -204,8 +205,17 @@ class Algebra:
                 coeff = self.scalar(coeff)
             if mono >> k < zero_from[mono & nil]:
                 acc[mono] = acc.get(mono, 0) + coeff
-        torsion_from = self._torsion_from
-        out: dict = {}
+        return self._reduce(acc, {})
+
+    def _reduce(self, acc: dict, out: dict) -> "Element":
+        """The element `out` with the collected sums `acc` written into it.
+
+        `acc` maps nonzero monomials of this algebra to coefficients of its
+        ring (integral `Fraction`s allowed).  Each sum is reduced mod 2 on a
+        torsion monomial over Z, an integral `Fraction` becomes an `int`, and
+        a zero sum removes its monomial from `out`.
+        """
+        k, nil, torsion_from = self._k, self._nil, self._torsion_from
         for mono, coeff in acc.items():
             if mono >> k >= torsion_from[mono & nil]:
                 coeff %= 2
@@ -213,6 +223,8 @@ class Algebra:
                 if type(coeff) is not int and coeff.denominator == 1:
                     coeff = coeff.numerator
                 out[mono] = coeff
+            else:
+                out.pop(mono, None)
         return Element(self, out)
 
     def zero(self) -> "Element":
@@ -261,9 +273,9 @@ class Element:
     """A normalized element: an exact linear combination of basis monomials.
 
     `terms` maps each monomial (an int, see `Algebra`) to its nonzero
-    coefficient.  Instances are created through `Algebra.normalize` and
-    treated as immutable.  Arithmetic stays inside one algebra; mixing
-    algebras raises `StructureError`.
+    coefficient.  Instances come from `Algebra.normalize` or from arithmetic
+    on normal elements, and are treated as immutable.  Arithmetic stays
+    inside one algebra; mixing algebras raises `StructureError`.
     """
 
     __slots__ = ("algebra", "terms")
@@ -326,33 +338,34 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same(other)
-        terms = [(c, m) for m, c in self.terms.items()]
-        terms += [(c, m) for m, c in other.terms.items()]
-        return self.algebra.normalize(terms)
+        terms = self.terms
+        return self.algebra._reduce({m: terms.get(m, 0) + c for m, c in other.terms.items()}, dict(terms))
 
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same(other)
-        terms = [(c, m) for m, c in self.terms.items()]
-        terms += [(-c, m) for m, c in other.terms.items()]
-        return self.algebra.normalize(terms)
+        terms = self.terms
+        return self.algebra._reduce({m: terms.get(m, 0) - c for m, c in other.terms.items()}, dict(terms))
 
     def __neg__(self):
-        return self.algebra.normalize([(-c, m) for m, c in self.terms.items()])
+        return self.algebra._reduce({m: -c for m, c in self.terms.items()}, {})
 
     def __mul__(self, other):
         if isinstance(other, Element):
+            # both factors are normal, so every product monomial is valid (`mul_monomials` refuses
+            # overlapping nilpotent bits): only the zero rule and the reduction tail apply
             self._check_same(other)
-            mul = self.algebra.mul_monomials
+            alg = self.algebra
+            mul, k, nil, zero_from = alg.mul_monomials, alg._k, alg._nil, alg._zero_from
             right = other.terms.items()
-            raw = []
+            acc: dict = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in right:
                     mono = mul(m1, m2)
-                    if mono is not None:
-                        raw.append((c1 * c2, mono))
-            return self.algebra.normalize(raw)
+                    if mono is not None and mono >> k < zero_from[mono & nil]:
+                        acc[mono] = acc.get(mono, 0) + c1 * c2
+            return alg._reduce(acc, {})
         if is_scalar(other):
             return self._scale(other)
         return NotImplemented
@@ -431,27 +444,47 @@ def is_scalar(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
-#: largest bit length of a numerator or denominator in a power (about 315,653 decimal digits)
+#: most bits a partial power's coefficients may hold in all, counting max(|numerator|, denominator) of
+#: each; for a single term, the bound on its one coefficient (2^20 bits is about 315,653 decimal digits)
 POWER_BITS = 1 << 20
 #: most terms a power may have; squaring costs the square of the count, and coefficient bits barely grow
 POWER_TERMS = 128
+#: most coefficient bits the term products of one step of a power may hold in all: len(y) * bits(x) +
+#: len(x) * bits(y) for x * y.  Checked before the product, so a costly step is refused, not made; a
+#: product of two single terms under POWER_BITS forms at most 2 * POWER_BITS
+POWER_WORK = 8 * POWER_BITS
 
 
 def power(base, k, unit, mul, coefficients):
-    """base**k by square-and-multiply: unit() for k = 0, else at most 2*log2(k) products mul(x, y); DomainError
-    once a partial power has more than POWER_TERMS terms or a numerator or denominator past POWER_BITS bits."""
+    """base**k by square-and-multiply: unit() for k = 0, else at most 2*log2(k) products mul(x, y).
+
+    DomainError before a product whose term products would hold more than POWER_WORK coefficient bits,
+    and once a partial power has more than POWER_TERMS terms or coefficients of more than POWER_BITS bits.
+    """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"exponent must be a natural number, got {k!r}")
+
+    def times(x, y):
+        cx, cy = coefficients(x), coefficients(y)
+        if len(cy) * _bits(cx) + len(cx) * _bits(cy) > POWER_WORK:
+            raise DomainError(f"a power with exponent {k} needs term products of more than {POWER_WORK} bits in all")
+        return mul(x, y)
+
     out = unit() if k == 0 else base
     for bit in bin(k)[3:]:
-        out = mul(out, out)
+        out = times(out, out)
         if bit == "1":
-            out = mul(out, base)
+            out = times(out, base)
         if len(coefficients(out)) > POWER_TERMS:
             raise DomainError(f"a power with exponent {k} has more than {POWER_TERMS} terms")
-        if any(max(abs(c.numerator), c.denominator).bit_length() > POWER_BITS for c in coefficients(out)):
-            raise DomainError(f"a power with exponent {k} has a coefficient of more than {POWER_BITS} bits")
+        if _bits(coefficients(out)) > POWER_BITS:
+            raise DomainError(f"a power with exponent {k} has coefficients of more than {POWER_BITS} bits in all")
     return out
+
+
+def _bits(coefficients) -> int:
+    """The bits the coefficients hold in all: the bit length of max(|numerator|, denominator), summed."""
+    return sum(max(abs(c.numerator), c.denominator).bit_length() for c in coefficients)
 
 
 def scalar_str(value) -> str:

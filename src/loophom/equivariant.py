@@ -155,18 +155,21 @@ class Quotient:
             raise StructureError(
                 f"q expects an element of {self.space.algebra.label}"
             )
-        return QElement(self, Element(elt.algebra, {m: c for m, c in elt.terms.items() if self._fixes(m)}))
+        if not self.group.reflections:
+            return QElement(self, elt)  # every monomial is fixed, and an Element is immutable
+        sign = self._sign
+        return QElement(self, Element(elt.algebra, {m: c for m, c in elt.terms.items() if sign(m) == 1}))
 
     def transfer(self, a: "QElement") -> Element:
         """tr: wrong-way map back to the covering space; tr(q z) = sum_g g z."""
         if not isinstance(a, QElement) or a.quotient is not self:
             raise StructureError("transfer expects a class on this quotient")
-        rep = a.rep
-        if not all(map(self._fixes, rep.terms)):
+        rep, sign = a.rep, self._sign
+        if self.group.reflections and any(sign(m) != 1 for m in rep.terms):
             raise StructureError(
                 f"non-invariant representative {rep} on the quotient"
             )
-        return self.group.order * rep
+        return rep._scale(self.group.order)
 
     def _fixes(self, mono: int) -> bool:
         """Whether the group fixes a basis monomial.
@@ -187,7 +190,7 @@ class Quotient:
             raise StructureError(f"the action sum expects an element of {self.space.algebra.label}")
         if self.group.reflections:
             elt = elt + self._theta(elt)
-        return elt * self.group.m
+        return elt._scale(self.group.m)
 
     # -- the transfer product --------------------------------------------
 

@@ -48,6 +48,8 @@ Token = namedtuple("Token", "kind text line col")
 
 #: deepest nesting of parentheses and calls; parsing and evaluation recurse once per level
 MAX_NESTING = 100
+#: most term pairs a product of two classes may multiply; a chain of products grows by one factor's terms each time
+MAX_PRODUCT_PAIRS = 1 << 16
 
 
 def tokenize(text: str) -> list:
@@ -327,6 +329,7 @@ class Evaluator:
         if a.quotient is not b.quotient:
             raise StructureError(f"{fn}(...) arguments live on different quotients")
         quot = a.quotient
+        _check_pairs(a.rep.terms, b.rep.terms)
         if fn == "P":
             if quot.space.kind != LOOP:
                 raise DomainError("P(...) is the loop-space transfer product; use POmega for based classes")
@@ -369,8 +372,10 @@ class Evaluator:
         if isinstance(rv, (int, Fraction)):
             return lv * rv
         if isinstance(lv, Element) and isinstance(rv, Element):
+            _check_pairs(lv.terms, rv.terms)
             return lv * rv
         if isinstance(lv, QElement) and isinstance(rv, QElement):
+            _check_pairs(lv.rep.terms, rv.rep.terms)
             return lv * rv  # the transfer product
         raise DomainError(f"cannot multiply {_kind_name(lv)} and {_kind_name(rv)}")
 
@@ -398,6 +403,15 @@ class Evaluator:
         if isinstance(node, Call):
             return self._call(node)
         raise StructureError(f"unknown syntax node {node!r}")
+
+
+def _check_pairs(left: dict, right: dict) -> None:
+    """DomainError when a product of classes with these terms would multiply more than MAX_PRODUCT_PAIRS pairs."""
+    if len(left) * len(right) > MAX_PRODUCT_PAIRS:
+        raise DomainError(
+            f"a product of a {len(left)}-term and a {len(right)}-term class multiplies more than "
+            f"{MAX_PRODUCT_PAIRS} pairs of terms"
+        )
 
 
 def _kind_name(value) -> str:

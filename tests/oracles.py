@@ -126,14 +126,7 @@ def brute_force_basis(kind: str, n: int, ring: str, max_degree: int) -> dict:
     relations are applied: a nilpotent letter squared is zero, sigma1*A is
     zero, and A*Theta^k (k >= 1) is 2-torsion, kept over Z, zero over Q.
     """
-    if kind == "loop" and n % 2:
-        letters = [("A", 0, True), ("U", 2 * n - 1, False)]
-    elif kind == "loop":
-        letters = [("sigma1", n - 1, True), ("A", 0, True), ("Theta", 3 * n - 2, False)]
-    elif kind == "omega":
-        letters = [("x", n - 1, False)]
-    else:
-        letters = [("pt", 0, True)]
+    letters = _letters(kind, n)
     caps = [3 if nil else max_degree + 2 * n + 3 for _name, _deg, nil in letters]
 
     vectors = [()]
@@ -157,6 +150,40 @@ def brute_force_basis(kind: str, n: int, ring: str, max_degree: int) -> dict:
             continue
         out.setdefault(degree, []).append(v)
     return {d: sorted(vs) for d, vs in out.items()}
+
+
+def _letters(kind: str, n: int) -> list:
+    """(letter, homological degree, nilpotent) in exponent-vector order, as listed in `brute_force_basis`."""
+    if kind == "loop" and n % 2:
+        return [("A", 0, True), ("U", 2 * n - 1, False)]
+    if kind == "loop":
+        return [("sigma1", n - 1, True), ("A", 0, True), ("Theta", 3 * n - 2, False)]
+    if kind == "omega":
+        return [("x", n - 1, False)]
+    return [("pt", 0, True)]
+
+
+def monomial_product_by_hand(kind: str, n: int, ring: str, u: tuple, v: tuple, coeff):
+    """(exponent vector, coefficient) of (coeff * u) * v for exponent vectors u, v, or None for 0.
+
+    Exponents add letter by letter (at most one letter has odd degree and it
+    is nilpotent, so no sign arises); then the relations of
+    `brute_force_basis` are applied: a nilpotent letter squared or
+    sigma1*A gives 0, and on A*Theta^k (k >= 1) the coefficient is taken
+    mod 2 over Z and the term is 0 over Q.
+    """
+    letters = _letters(kind, n)
+    word = tuple(a + b for a, b in zip(u, v))
+    power = {name: e for (name, _deg, _nil), e in zip(letters, word)}
+    if any(power[name] >= 2 for name, _deg, nil in letters if nil):
+        return None
+    if power.get("sigma1") and power.get("A"):
+        return None
+    if power.get("A") and power.get("Theta"):
+        if ring == "Q":
+            return None
+        coeff %= 2
+    return (word, coeff) if coeff else None
 
 
 # ----------------------------------------------------------------------

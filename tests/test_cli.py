@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from loophom import DomainError, based_loop_space, cli, dihedral, loop_space, verify
-from loophom.core import POWER_BITS, POWER_TERMS
-from loophom.expr import MAX_NESTING, EvalContext, evaluate
+from loophom import DomainError, based_loop_space, cli, cyclic, dihedral, loop_space, verify
+from loophom.core import POWER_BITS, POWER_TERMS, POWER_WORK
+from loophom.expr import MAX_NESTING, MAX_PRODUCT_PAIRS, EvalContext, evaluate
 
 from oracles import decimal_value
 
@@ -303,6 +304,81 @@ def test_eval_long_chains_and_deep_nesting_from_the_command_line() -> None:
         )
         message = f"line 1, column {MAX_NESTING + 1}: more than {MAX_NESTING} nested parentheses and calls"
         assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: syntax error at {message}\n")
+
+
+def _x_power_sum_text(coefficients) -> str:
+    """The printed omega class sum_k c_k x^k, written out by hand."""
+    terms = []
+    for k, c in enumerate(coefficients):
+        body = "1" if k == 0 else "x" if k == 1 else f"x^{k}"
+        terms.append(body if c == 1 else f"{c}" if k == 0 else f"{c}*{body}")
+    return " + ".join(terms)
+
+
+def test_eval_long_sum_of_distinct_terms_is_fast() -> None:
+    # each + adds one term to a copy of the sum so far; re-normalizing the whole sum made 5000 terms take 8 s
+    text = "+".join(f"x^{k}" for k in range(1, 5001))
+    result = subprocess.run(
+        [sys.executable, "-m", "loophom.cli", "eval", text, "--space", "omega", "--n", "3"],
+        capture_output=True,
+        text=True,
+        timeout=2.0,
+    )
+    expected = _x_power_sum_text([0] + [1] * 5000).removeprefix("0 + ")
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected + "\n", "")
+
+
+def test_eval_product_chain_is_refused_at_once() -> None:
+    # 20 factors of 128 terms: the sixth product would multiply 636 * 128 pairs
+    _refused_within_a_second(
+        "*".join(["(x+1)^127"] * 20), "--space", "omega", "--n", "3", ceiling=f"more than {MAX_PRODUCT_PAIRS} pairs"
+    )
+
+
+def test_products_up_to_the_pair_ceiling() -> None:
+    # any two powers under the term ceiling multiply
+    assert POWER_TERMS**2 <= MAX_PRODUCT_PAIRS
+    ctx = EvalContext(based_loop_space(3, "Q"))
+    product = evaluate("(x+1)^127*(x+1)^127", ctx)
+    assert str(product) == _x_power_sum_text([math.comb(254, k) for k in range(255)])
+
+    def powers(name: str, count: int, step: int = 1) -> str:
+        return "(" + "+".join(f"{name}^{step * k}" for k in range(count)) + ")"
+
+    narrow = powers("x", 128)
+    at_ceiling = powers("x", MAX_PRODUCT_PAIRS // 128)
+    assert len(evaluate(f"{at_ceiling}*{narrow}", ctx).terms) == MAX_PRODUCT_PAIRS // 128 + 127
+    past = powers("x", MAX_PRODUCT_PAIRS // 128 + 1)
+    with pytest.raises(DomainError, match=f"a product of a {MAX_PRODUCT_PAIRS // 128 + 1}-term and a 128-term class"):
+        evaluate(f"{past}*{narrow}", ctx)
+    # the transfer product, as * or as a call, and the A-products count the pairs of the representatives
+    q_ctx = EvalContext(based_loop_space(3, "Q"), cyclic(2))
+    assert len(evaluate(f"q{at_ceiling}*q{narrow}", q_ctx).rep.terms) == MAX_PRODUCT_PAIRS // 128 + 127
+    for text in (f"q{past}*q{narrow}", f"POmega(q{past}, q{narrow})"):
+        with pytest.raises(DomainError, match="pairs of terms"):
+            evaluate(text, q_ctx)
+    d1_ctx = EvalContext(loop_space(3, "Q"), dihedral(1))
+    with pytest.raises(DomainError, match="pairs of terms"):
+        evaluate(f"Avartheta(q{powers('U', 513, 2)}, q{powers('U', 128, 2)})", d1_ctx)
+
+
+def test_eval_power_with_long_coefficients_is_refused_at_once() -> None:
+    # 100-digit numerator and denominator: squaring the 63rd power would form 83 * 2^20 bits of term products
+    p, q = "7" * 100, "3" * 99 + "1"
+    _refused_within_a_second(f"({p}/{q}*x+{q}/{p})^127", "--space", "omega", "--n", "3", ceiling=f"{POWER_WORK} bits")
+
+
+def test_power_bit_ceilings_count_every_term() -> None:
+    ctx = EvalContext(based_loop_space(3, "Q"))
+    # 10-digit coefficients: the last squaring forms about 8.43 * 2^20 bits of term products
+    with pytest.raises(DomainError, match=f"term products of more than {POWER_WORK} bits"):
+        evaluate("(7777777777/3333333331*x+3333333331/7777777777)^127", ctx)
+    assert len(evaluate("(7777777777/3333333331*x+3333333331/7777777777)^63", ctx).terms) == 64
+    # (2^a*x + 2^a)^2 has coefficients of 2a+1, 2a+2 and 2a+1 bits: 6a+4 in all, each far under POWER_BITS
+    a = (POWER_BITS - 4) // 6
+    assert len(evaluate(f"(2^{a}*x+2^{a})^2", ctx).terms) == 3
+    with pytest.raises(DomainError, match=f"coefficients of more than {POWER_BITS} bits in all"):
+        evaluate(f"(2^{a + 1}*x+2^{a + 1})^2", ctx)
 
 
 def test_eval_huge_scalar_power_is_refused_at_once() -> None:

@@ -26,6 +26,7 @@ from oracles import (
     decimal_value,
     is_two_torsion,
     loop_product_degree,
+    monomial_product_by_hand,
     pontrjagin_product_degree,
 )
 
@@ -163,6 +164,87 @@ def test_basis_matches_brute_force(kind: str, n: int, ring: str) -> None:
     # the order of basis(d) is the exponent-vector order; loop n=2 over Z has two monomials a degree
     for d in range(201):
         assert [alg.exponents(m) for m in alg.basis(d)] == expected.get(d, []), (kind, n, ring, d)
+
+
+# ----------------------------------------------------------------------
+# the product kernel against exponent vectors multiplied by hand
+# ----------------------------------------------------------------------
+
+KERNEL_CASES = [(kind, n, ring) for kind in ("loop", "omega", "sphere") for n in range(2, 7) for ring in ("Q", "Z")]
+KERNEL_SCALARS = {"Q": (1, 3, -2, Fraction(1, 2)), "Z": (1, 3, -2)}
+
+
+def _by_hand(alg, terms) -> dict:
+    """monomial -> coefficient from oracle (exponent vector, coefficient) pairs, summed; zero sums dropped."""
+    out: dict = {}
+    for word, coeff in filter(None, terms):
+        mono = alg.monomial(word)
+        out[mono] = out.get(mono, 0) + coeff
+    return {m: c for m, c in out.items() if c}
+
+
+def _normal_coefficients(elt) -> bool:
+    """No zero coefficient, and every integral one an int."""
+    return all(c and (type(c) is int or c.denominator != 1) for c in elt.terms.values())
+
+
+@pytest.mark.parametrize("kind,n,ring", KERNEL_CASES)
+def test_product_kernel_matches_exponent_vectors_multiplied_by_hand(kind: str, n: int, ring: str) -> None:
+    # scaled basis monomials: mod-2 torsion over Z, zero rules, nilpotent overlaps, Fraction -> int
+    alg = SPACE_OF_KIND[kind](n, ring).algebra
+    by_degree = brute_force_basis(kind, n, ring, 40)
+    scalars = KERNEL_SCALARS[ring]
+    for du, us in by_degree.items():
+        for dv, vs in by_degree.items():
+            if du + dv > 40:
+                continue
+            for u in us:
+                for v in vs:
+                    eu, ev = alg.monomial_element(alg.monomial(u)), alg.monomial_element(alg.monomial(v))
+                    for a in scalars:
+                        for b in scalars:
+                            got = (a * eu) * (b * ev)
+                            assert got.terms == _by_hand(alg, [monomial_product_by_hand(kind, n, ring, u, v, a * b)])
+                            assert _normal_coefficients(got), (u, v, a, b)
+
+
+@pytest.mark.parametrize("kind,n,ring", KERNEL_CASES)
+def test_cross_terms_cancel_inside_one_product(kind: str, n: int, ring: str) -> None:
+    # (u+v)*(u-v) = u^2 - v^2: the two cross terms meet on one monomial and cancel
+    alg = SPACE_OF_KIND[kind](n, ring).algebra
+    words = [w for ws in brute_force_basis(kind, n, ring, 20).values() for w in ws]
+    for u in words:
+        for v in words:
+            if u == v:
+                continue
+            eu, ev = alg.monomial_element(alg.monomial(u)), alg.monomial_element(alg.monomial(v))
+            got = (eu + ev) * (eu - ev)
+            squares = [monomial_product_by_hand(kind, n, ring, w, w, c) for w, c in ((u, 1), (v, -1))]
+            assert got.terms == _by_hand(alg, squares), (u, v)
+            assert _normal_coefficients(got)
+
+
+def test_products_that_cancel_to_zero() -> None:
+    loop3 = loop_space(3, "Q")
+    a, u = loop3.generator("A"), loop3.generator("U")
+    assert (a + a * u) * (a - a * u) == loop3.algebra.zero()  # every product has A^2
+    loop4z = loop_space(4, "Z")
+    torsion = loop4z.generator("A") * loop4z.generator("Theta")
+    theta = loop4z.generator("Theta")
+    assert (torsion + theta) * (torsion - theta) + theta * theta == loop4z.algebra.zero()  # -A*Theta^2 = A*Theta^2
+    omega = based_loop_space(3, "Q")
+    x, half = omega.generator("x"), omega.unit * Fraction(1, 2)
+    assert (x + half) * (x - half) - x * x + half * half == omega.algebra.zero()
+
+
+@given(element_tuples(2))
+def test_sums_fold_into_the_normal_form_of_the_joined_terms(data) -> None:
+    space, a, b = data
+    alg = space.algebra
+    left = [(c, m) for m, c in a.terms.items()]
+    assert (a + b).terms == alg.normalize(left + [(c, m) for m, c in b.terms.items()]).terms
+    assert (a - b).terms == alg.normalize(left + [(-c, m) for m, c in b.terms.items()]).terms
+    assert _normal_coefficients(a + b) and _normal_coefficients(a - b)
 
 
 def test_even_n_zero_rules() -> None:

@@ -268,6 +268,22 @@ def test_action_sum_of_sums_mixing_fixed_and_negated_monomials(group) -> None:
         q.action_sum(based_loop_space(3, "Q").generator("x"))
 
 
+@pytest.mark.parametrize("group", [cyclic(2), cyclic(3)], ids=lambda g: g.label)
+def test_rotation_quotients_refuse_foreign_elements_and_classes(group) -> None:
+    # without reflections q_* keeps its argument and tr scans nothing, but both still check where it comes from
+    space = loop_space(3, "Q")
+    q = quotient(space, group)
+    for foreign in (based_loop_space(3, "Q").generator("x"), loop_space(5, "Q").generator("U")):
+        with pytest.raises(StructureError):
+            q.project(foreign)
+    other = quotient(loop_space(4, "Q"), group)
+    for foreign in (other.project(other.space.generator("Theta")), space.generator("U")):
+        with pytest.raises(StructureError):
+            q.transfer(foreign)
+    z = space.generator("U") - 3 * space.generator("A")
+    assert q.project(z).rep == z and q.transfer(q.project(z)) == z * group.order
+
+
 def test_transfer_rejects_non_invariant_representatives() -> None:
     from loophom.equivariant import QElement
 

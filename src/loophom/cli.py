@@ -17,7 +17,7 @@ import argparse
 import re
 import sys
 
-from .core import DomainError, RING_Q, StructureError
+from .core import DomainError, StructureError, int_from_digits
 from .equivariant import Subgroup, cyclic, dihedral, quotient, theta_group
 from .expr import EvalContext, ExprSyntaxError, evaluate, format_value
 from .spaces import BettiTable, make_space
@@ -32,7 +32,7 @@ def parse_group(text: str) -> Subgroup:
     m = _GROUP_RE.fullmatch(text)
     if m is None:
         raise DomainError(f"unknown group {text!r} (use Cm, Dm, or theta)")
-    size = int(m.group(2))
+    size = int_from_digits(m.group(2))
     if size < 1:
         raise DomainError(f"group parameter must be >= 1, got {size}")
     return cyclic(size) if m.group(1) == "C" else dihedral(size)
@@ -83,23 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
 def betti_to_json(table: BettiTable) -> str:
     import json  # here, not at the top: start-up is most of a command's time, and only JSON output needs it
 
-    payload = {
-        "space": table.space,
-        "n": table.n,
-        "ring": table.ring,
-        "group": table.group,
-        "max_degree": table.max_degree,
-        "entries": [
-            {
-                "degree": row.degree,
-                "rank": row.rank,
-                "torsion": list(row.torsion),
-                "generators": list(row.generators),
-                "family": row.family,
-            }
-            for row in table.rows
-        ],
-    }
+    # the named tuples' fields are the JSON keys, in order; json writes tuples as lists
+    payload = table._asdict()
+    payload["entries"] = [row._asdict() for row in payload.pop("rows")]
     return json.dumps(payload, separators=(",", ":"))
 
 

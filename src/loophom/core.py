@@ -193,8 +193,8 @@ class Algebra:
         mod 2 over Z, and zero coefficients are pruned.  Every monomial must
         be a non-negative `int` of this algebra, else `StructureError`.
         Every coefficient goes through `scalar`, except an exact `int`, which
-        `scalar` would return unchanged.  An integral `Fraction` sum comes
-        out as `int`.
+        `scalar` would return unchanged; `_reduce` then applies the
+        coefficient rule to the sums.
         """
         k, nil, top, zero_from = self._k, self._nil, self._top, self._zero_from
         acc: dict = {}
@@ -210,18 +210,20 @@ class Algebra:
     def _reduce(self, acc: dict, out: dict) -> "Element":
         """The element `out` with the collected sums `acc` written into it.
 
-        `acc` maps nonzero monomials of this algebra to coefficients of its
-        ring (integral `Fraction`s allowed).  Each sum is reduced mod 2 on a
-        torsion monomial over Z, an integral `Fraction` becomes an `int`, and
-        a zero sum removes its monomial from `out`.
+        `acc` maps nonzero monomials of this algebra to int or `Fraction`
+        sums.  The one coefficient rule: a sum that is not an `int` goes
+        through `scalar` (an integral `Fraction` becomes an `int`, a
+        fractional one over Z is refused), then it is reduced mod 2 on a
+        torsion monomial over Z, and a zero sum removes its monomial from
+        `out`.
         """
         k, nil, torsion_from = self._k, self._nil, self._torsion_from
         for mono, coeff in acc.items():
+            if type(coeff) is not int:
+                coeff = self.scalar(coeff)
             if mono >> k >= torsion_from[mono & nil]:
                 coeff %= 2
             if coeff:
-                if type(coeff) is not int and coeff.denominator == 1:
-                    coeff = coeff.numerator
                 out[mono] = coeff
             else:
                 out.pop(mono, None)
@@ -231,7 +233,7 @@ class Algebra:
         return Element(self, {})
 
     def unit(self) -> "Element":
-        return Element(self, {0: self.scalar(1)})
+        return Element(self, {0: 1})
 
     def monomial_element(self, mono: int) -> "Element":
         return self.normalize([(1, mono)])
@@ -309,14 +311,12 @@ class Element:
         """Degree -> homogeneous component, nonzero components only."""
         parts: dict = {}
         for mono, coeff in self.terms.items():
-            d = self.algebra.monomial_degree(mono)
-            parts.setdefault(d, []).append((coeff, mono))
-        return {
-            d: self.algebra.normalize(chunk) for d, chunk in sorted(parts.items())
-        }
+            parts.setdefault(self.algebra.monomial_degree(mono), {})[mono] = coeff
+        # any subset of a normal element's terms is normal
+        return {d: Element(self.algebra, part) for d, part in sorted(parts.items())}
 
     def coefficient(self, mono: int):
-        return self.terms.get(mono, self.algebra.scalar(0))
+        return self.terms.get(mono, 0)
 
     def sorted_terms(self):
         """Terms in canonical print order: by degree, then monomial."""
@@ -334,22 +334,22 @@ class Element:
                 f"and {other.algebra.label}"
             )
 
-    def __add__(self, other):
+    def _fold(self, other, sign: int):
+        """self + sign * other: other's terms folded into a copy of self's."""
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same(other)
         terms = self.terms
-        return self.algebra._reduce({m: terms.get(m, 0) + c for m, c in other.terms.items()}, dict(terms))
+        return self.algebra._reduce({m: terms.get(m, 0) + sign * c for m, c in other.terms.items()}, dict(terms))
+
+    def __add__(self, other):
+        return self._fold(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._check_same(other)
-        terms = self.terms
-        return self.algebra._reduce({m: terms.get(m, 0) - c for m, c in other.terms.items()}, dict(terms))
+        return self._fold(other, -1)
 
     def __neg__(self):
-        return self.algebra._reduce({m: -c for m, c in self.terms.items()}, {})
+        return self._scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -371,23 +371,8 @@ class Element:
         return NotImplemented
 
     def _scale(self, k) -> "Element":
-        """k * self for a scalar k.
-
-        Over Q a nonzero scalar keeps every term nonzero on the same
-        monomial, so the result is normal as it stands once an integral
-        `Fraction` coefficient is turned back into an `int`.  Over Z a torsion
-        coefficient must be reduced mod 2, so `normalize` runs.
-        """
-        alg = self.algebra
-        if alg.ring != RING_Q:
-            return alg.normalize([(c * k, m) for m, c in self.terms.items()])
-        if not k:
-            return Element(alg, {})
-        terms = {m: c * k for m, c in self.terms.items()}
-        for m, c in terms.items():
-            if type(c) is not int and c.denominator == 1:
-                terms[m] = c.numerator
-        return Element(alg, terms)
+        """k * self for a scalar k: every term keeps its monomial, so only the coefficient rule applies."""
+        return self.algebra._reduce({m: c * k for m, c in self.terms.items()}, {})
 
     def __rmul__(self, other):
         # __mul__ looked up at call time, so a wrapper put on it (perfbench/tracer.py) sees scalar * element too

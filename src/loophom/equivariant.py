@@ -48,7 +48,7 @@ import functools
 import operator
 from fractions import Fraction
 
-from .core import DomainError, Element, RING_Q, StructureError, is_scalar, power, scaled_str
+from .core import DomainError, Element, RING_Q, StructureError, _int_str, is_scalar, power, scaled_str
 from .maps import reversal_sign, theta_star
 from .spaces import LOOP, OMEGA, BettiTable, Space
 
@@ -88,7 +88,7 @@ class Subgroup:
         return Subgroup, self._key()
 
     def __repr__(self):
-        return f"Subgroup(m={self.m!r}, reflections={self.reflections!r}, rotation={self.rotation!r})"
+        return f"Subgroup(m={_int_str(self.m)}, reflections={self.reflections!r}, rotation={self.rotation!r})"
 
     @property
     def order(self) -> int:
@@ -97,12 +97,12 @@ class Subgroup:
     @property
     def label(self) -> str:
         if not self.reflections:
-            return f"C{self.m}"
+            return f"C{_int_str(self.m)}"
         if not self.rotation:
-            return f"D{self.m}"
+            return f"D{_int_str(self.m)}"
         if self == theta_group():
             return "theta"
-        return f"D{self.m}@{self.rotation}"
+        return f"D{_int_str(self.m)}@{self.rotation}"
 
 
 def cyclic(m: int) -> Subgroup:

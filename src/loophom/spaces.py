@@ -125,17 +125,15 @@ class BettiTable(namedtuple("BettiTable", "space n ring group max_degree rows"))
 
     __slots__ = ()
 
+    def _row(self, degree: int) -> TableRow:
+        """The row of `degree`, or an empty row when the table has none there."""
+        return next((row for row in self.rows if row.degree == degree), TableRow(degree, 0, (), (), None))
+
     def rank(self, degree: int) -> int:
-        for row in self.rows:
-            if row.degree == degree:
-                return row.rank
-        return 0
+        return self._row(degree).rank
 
     def torsion(self, degree: int) -> tuple:
-        for row in self.rows:
-            if row.degree == degree:
-                return row.torsion
-        return ()
+        return self._row(degree).torsion
 
 
 @functools.lru_cache(maxsize=None)

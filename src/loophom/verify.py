@@ -108,19 +108,13 @@ def rank_of(elements, monomials) -> int:
 # ----------------------------------------------------------------------
 
 
-def _first_failure(cases, fails):
-    """The first truthy fails(*case) over `cases`, a counterexample's detail string, or None."""
+def _check(label: str, cases, fails) -> Check:
+    """The check `label`, carrying the first truthy fails(*case) over `cases`, a counterexample's detail."""
     for case in cases:
         detail = fails(*case)
         if detail:
-            return detail
-    return None
-
-
-def _check(label: str, cases, fails) -> Check:
-    """The check `label`, carrying the first counterexample among `cases`."""
-    detail = _first_failure(cases, fails)
-    return Check(label, detail is None, detail or "")
+            return Check(label, False, detail)
+    return Check(label, True)
 
 
 def _graded(source, bound: int) -> list:

@@ -27,6 +27,13 @@ EXPECTED_LOOP4Z_JSON = (
     '{"degree":6,"rank":0,"torsion":[2],"generators":["A*Theta"],"family":"n-1+lambda_1"}]}'
 )
 
+EXPECTED_LOOP4_D1_JSON = (
+    '{"space":"loop","n":4,"ring":"Q","group":"D1","max_degree":12,"entries":'
+    '[{"degree":0,"rank":1,"torsion":[],"generators":["q(A)"],"family":null},'
+    '{"degree":4,"rank":1,"torsion":[],"generators":["q(E)"],"family":null},'
+    '{"degree":9,"rank":1,"torsion":[],"generators":["q(sigma1*Theta)"],"family":"lambda_2"}]}'
+)
+
 EXPECTED_D1_TABLE = """\
 # loop S^3, ring Q, group D1, degrees <= 12
 degree  rank  torsion  family         generators
@@ -105,6 +112,49 @@ def test_group_parsing(capsys) -> None:
     assert code == 2
 
 
+def _loophom(*argv: str) -> tuple:
+    result = subprocess.run([sys.executable, "-m", "loophom.cli", *argv], capture_output=True, text=True, timeout=60)
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_group_parameters_of_any_length() -> None:
+    # past the 4300-digit int<->str limit, in a child process, so a traceback would show as exit 1
+    nines = "9" * 5000
+    assert _loophom("eval", "q(U)", "--n", "3", "--group", "C" + nines) == (0, "q(U)\n", "")
+    code, out, err = _loophom("betti", "--n", "3", "--group", "D" + nines, "--max-degree", "5")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"# loop S^3, ring Q, group D{nines}, degrees <= 5"
+    assert _loophom("eval", "q(U)", "--n", "3", "--group", "C" + "0" * 5000) == (
+        2, "", "error: group parameter must be >= 1, got 0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "expression,n,out",
+    [
+        ("2*U*1/2", 3, "U"),
+        ("0*U", 3, "0"),
+        ("A*Theta*4/2", 4, "0"),
+        ("2*(A*Theta)", 4, "0"),
+        ("3*(A*Theta)", 4, "A*Theta"),
+    ],
+)
+def test_integral_scalings_over_z(capsys, expression: str, n: int, out: str) -> None:
+    # a fractional scalar is accepted over Z when every coefficient it makes is integral;
+    # then A*Theta, 2-torsion for n even, is reduced mod 2
+    assert _run(capsys, "eval", expression, "--n", str(n), "--ring", "Z") == (0, out + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "expression,n,fraction", [("U*1/2", 3, "1/2"), ("1/2*U*2", 3, "1/2"), ("A*Theta*5/2", 4, "5/2")]
+)
+def test_fractional_scalings_over_z_are_refused(capsys, expression: str, n: int, fraction: str) -> None:
+    # the fraction is refused before the mod-2 reduction, which would turn 5/2 into 1/2
+    assert _run(capsys, "eval", expression, "--n", str(n), "--ring", "Z") == (
+        2, "", f"error: fractional coefficient {fraction} needs ring Q, not Z\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # betti
 # ----------------------------------------------------------------------
@@ -119,13 +169,11 @@ def test_betti_quotient_table_ascii(capsys) -> None:
 
 
 def test_betti_json_is_byte_frozen(capsys) -> None:
-    code, out, _ = _run(
-        capsys,
-        "betti", "--space", "loop", "--n", "4", "--ring", "Z",
-        "--max-degree", "6", "--format", "json",
-    )
-    assert code == 0
-    assert out == EXPECTED_LOOP4Z_JSON + "\n"
+    for argv, expected in (
+        (("--space", "loop", "--n", "4", "--ring", "Z", "--max-degree", "6"), EXPECTED_LOOP4Z_JSON),
+        (("--n", "4", "--group", "D1", "--max-degree", "12"), EXPECTED_LOOP4_D1_JSON),
+    ):
+        assert _run(capsys, "betti", *argv, "--format", "json") == (0, expected + "\n", "")
 
 
 def test_betti_json_is_deterministic_across_runs(capsys) -> None:

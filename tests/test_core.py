@@ -266,7 +266,8 @@ def test_a_theta_multiples_are_two_torsion_over_z(k: int) -> None:
     cls = space.generator("A") * space.generator("Theta") ** k
     assert is_two_torsion(cls)
     assert 2 * cls == space.algebra.zero() == cls * 2
-    assert 5 * cls == cls
+    assert 5 * cls == cls == -cls
+    assert cls - 3 * cls == space.algebra.zero()
     theta_k = space.generator("Theta") ** k
     assert (cls + theta_k) * 2 == 2 * theta_k
 
@@ -378,6 +379,20 @@ def test_fractional_coefficients_rejected_over_z() -> None:
     space = loop_space(3, "Z")
     with pytest.raises(DomainError):
         space.generator("U") * Fraction(1, 2)
+
+
+@given(element_tuples(1))
+def test_homogeneous_parts_are_normal_and_sum_back(data) -> None:
+    space, a = data
+    alg = space.algebra
+    parts = a.homogeneous_parts()
+    total = alg.zero()
+    for degree, part in parts.items():
+        assert part == alg.normalize((c, m) for m, c in part.terms.items())
+        assert part and part.degrees() == [degree]
+        total = total + part
+    assert list(parts) == a.degrees()
+    assert total == a
 
 
 def test_division_needs_q() -> None:

@@ -51,6 +51,9 @@ def test_subgroup_orders_and_labels() -> None:
     assert dihedral(5).label == "D5"
     assert theta_group().label == "theta"
     assert conjugate_dihedral(3, Fraction(1, 5)).label == "D3@1/5"
+    nines = "9" * 5000  # past the int->str digit limit
+    assert cyclic(10**5000 - 1).label == "C" + nines
+    assert repr(dihedral(10**5000 - 1)) == f"Subgroup(m={nines}, reflections=True, rotation=Fraction(0, 1))"
 
 
 def test_subgroup_is_m_reflections_rotation() -> None:

@@ -54,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression")
-    p_eval.add_argument("expression")
+    p_eval.add_argument(
+        "expression", help="the expression to evaluate; one that begins with '-' goes after '--': eval --n 3 -- -U"
+    )
     _add_context_flags(p_eval)
 
     p_betti = sub.add_parser("betti", help="emit a rank/torsion table")

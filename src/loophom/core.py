@@ -73,6 +73,9 @@ class Algebra:
     torsion rule's is 2-torsion over Z (and zero over Q).  Squares of the
     nilpotent generators vanish by the encoding.  The rules become, for each
     mask, the least free exponent at which a monomial is zero or torsion.
+
+    The class attribute `element` is the class of the elements it builds
+    (`Element`, set below it; a subclass may build a subclass).
     """
 
     def __init__(
@@ -227,13 +230,13 @@ class Algebra:
                 out[mono] = coeff
             else:
                 out.pop(mono, None)
-        return Element(self, out)
+        return self.element(self, out)
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        return self.element(self, {})
 
     def unit(self) -> "Element":
-        return Element(self, {0: 1})
+        return self.element(self, {0: 1})
 
     def monomial_element(self, mono: int) -> "Element":
         return self.normalize([(1, mono)])
@@ -309,11 +312,12 @@ class Element:
 
     def homogeneous_parts(self) -> dict:
         """Degree -> homogeneous component, nonzero components only."""
+        alg = self.algebra
         parts: dict = {}
         for mono, coeff in self.terms.items():
-            parts.setdefault(self.algebra.monomial_degree(mono), {})[mono] = coeff
+            parts.setdefault(alg.monomial_degree(mono), {})[mono] = coeff
         # any subset of a normal element's terms is normal
-        return {d: Element(self.algebra, part) for d, part in sorted(parts.items())}
+        return {d: alg.element(alg, part) for d, part in sorted(parts.items())}
 
     def coefficient(self, mono: int):
         return self.terms.get(mono, 0)
@@ -420,6 +424,9 @@ class Element:
 
     def __repr__(self):
         return f"<{self} in {self.algebra.label}>"
+
+
+Algebra.element = Element
 
 
 def is_scalar(value) -> bool:

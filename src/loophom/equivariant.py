@@ -1,4 +1,4 @@
-"""Finite subgroups of O(2) acting on loops, quotient homology, transfers.
+"""Finite subgroups of O(2) acting on loops, and the quotient algebras H(X/G; Q).
 
 A finite subgroup G of O(2) acts on the free loop space by rotating (and,
 for reflections, reversing) the loop parameter t in R/Z.  Rotations act
@@ -19,24 +19,29 @@ homology sees G only through |G| and whether G contains a reflection.  A
 
 Equal labels mean equal groups, and so the same cached `quotient`.
 
-Homology of the quotient is modeled through invariant representatives:
-rationally, ``q_*`` identifies H(X/G; Q) with the G-invariants of H(X; Q).
-Loop reversal theta_* acts by +-1 on each basis monomial, so the invariant
-projection (z + theta z)/2 of a representative z is exactly the sum of the
-terms of z whose monomial the action fixes; ``q_*`` keeps those terms, with
-no sum and no division.
+Rationally, ``q_*`` identifies H(X/G; Q) with the G-invariants of H(X; Q).
+Loop reversal theta_* acts by +-1 on each basis monomial, so the invariants
+are spanned by the monomials it fixes, and ``q_*`` of a class z keeps the
+terms of z whose monomial is fixed: the invariant projection (z + theta z)/2,
+with no sum and no division.  So a `Quotient` is an `Algebra` whose basis is
+the fixed monomials, the covering algebra's own ints with their degrees,
+printed as ``q(...)``; its elements are `QElement`s.
 The transfer ``tr`` goes the other way; its two defining properties
 
     q_* ( tr(a) )  =  |G| . a           (on quotient homology)
     tr ( q_*(z) )  =  sum_g g_*(z)      (on covering-space homology)
 
-pin it exactly.  The transfer product on quotient homology is
+pin it down: tr(a) is |G| times the same terms, read in H(X; Q).  So the
+transfer product, the quotient's product, has a closed form:
 
-    P_G(a, b)  =  q_*( tr(a) * tr(b) ),
+    P_G(a, b)  =  q_*( tr(a) * tr(b) )  =  |G|^2 . q_*(a * b).
 
-an associative, graded-commutative product with the same sign rule as the
-loop product; its unit is q_*(E) / |G|^2.  The same construction on the
-based algebra gives the based transfer product (``POmega`` in the CLI).
+It is associative and graded-commutative with the sign rule of the loop
+product, and its unit is q_*(E) / |G|^2.  The q_* stays: a product of fixed
+monomials need not be fixed, since on the based algebra with n even theta_*
+is not multiplicative (x^3 is fixed, x^6 = x^3 * x^3 is negated).  The same
+construction on the based algebra gives the based transfer product
+(``POmega`` in the CLI).
 
 Everything here requires ring Q: only rationally is quotient homology the
 invariants, and no integral quotient structure is modeled.
@@ -45,10 +50,9 @@ invariants, and no integral quotient structure is modeled.
 from __future__ import annotations
 
 import functools
-import operator
 from fractions import Fraction
 
-from .core import DomainError, Element, RING_Q, StructureError, _int_str, is_scalar, power, scaled_str
+from .core import RING_Q, Algebra, DomainError, Element, StructureError, _int_str, scalar_str
 from .maps import reversal_sign, theta_star
 from .spaces import LOOP, OMEGA, BettiTable, Space
 
@@ -88,7 +92,9 @@ class Subgroup:
         return Subgroup, self._key()
 
     def __repr__(self):
-        return f"Subgroup(m={_int_str(self.m)}, reflections={self.reflections!r}, rotation={self.rotation!r})"
+        r = self.rotation
+        return (f"Subgroup(m={_int_str(self.m)}, reflections={self.reflections!r}, "
+                f"rotation=Fraction({_int_str(r.numerator)}, {_int_str(r.denominator)}))")
 
     @property
     def order(self) -> int:
@@ -102,7 +108,7 @@ class Subgroup:
             return f"D{_int_str(self.m)}"
         if self == theta_group():
             return "theta"
-        return f"D{_int_str(self.m)}@{self.rotation}"
+        return f"D{_int_str(self.m)}@{scalar_str(self.rotation)}"
 
 
 def cyclic(m: int) -> Subgroup:
@@ -122,12 +128,39 @@ def theta_group() -> Subgroup:
     return Subgroup(1, True, Fraction(1, 2))
 
 
-class Quotient:
+class QElement(Element):
+    """A class of H(X/G; Q): an `Element` of its `Quotient`, all of whose monomials are fixed.
+
+    `*` of two classes is the transfer product P_G, and so `**` is its power
+    (the 0th power is the transfer unit); every other operation is an
+    `Element`'s.
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if isinstance(other, QElement):
+            return self.algebra.product(self, other)
+        return Element.__mul__(self, other)
+
+    @property
+    def rep(self) -> Element:
+        """The invariant representative in H(X; Q): the same terms."""
+        return Element(self.algebra.space.algebra, self.terms)
+
+
+class Quotient(Algebra):
     """Rational homology of X/G with the transfer product, X = loop or omega.
 
-    Classes are `QElement` values carrying their invariant representative in
-    H(X; Q); `project` is q_*, `transfer` is tr.
+    An `Algebra` on the fixed monomials of X's algebra: it shares that
+    algebra's monomial ints, degrees and zero and torsion tables, its basis in
+    each degree is the fixed monomials, and its monomials print as q(...).
+    `normalize` refuses a monomial the group does not fix.  Its elements are
+    `QElement`s, whose product is the transfer product `product`; `project`
+    is q_* and `transfer` is tr.
     """
+
+    element = QElement
 
     def __init__(self, space: Space, group: Subgroup):
         if space.ring != RING_Q:
@@ -136,40 +169,39 @@ class Quotient:
             raise DomainError("quotients are modeled for the loop and omega spaces")
         if space.n < 3:
             raise DomainError("quotient claims are modeled for n >= 3")
+        alg = space.algebra
+        vars(self).update(vars(alg))  # the covering algebra's encoding and tables, as they are
+        self.label = f"{alg.label}/{group.label}"
+        self.unit_name = f"q({alg.unit_name})"
         self.space = space
         self.group = group
         self._theta = theta_star(space)
         self._sign = reversal_sign(space)
 
-    # -- the two structure maps ------------------------------------------
+    def monomial_str(self, mono: int) -> str:
+        return f"q({self.space.algebra.monomial_str(mono)})"
 
-    def project(self, elt: Element) -> "QElement":
-        """q_*: push a covering-space class down to the quotient.
+    def normalize(self, terms) -> QElement:
+        """`Algebra.normalize`, refusing a class with a monomial the group does not fix."""
+        out = super().normalize(terms)
+        for mono in out.terms:
+            if not self._fixes(mono):
+                raise StructureError(f"{self.monomial_str(mono)}: {self.group.label} does not fix the monomial")
+        return out
 
-        The stored representative is the invariant projection (z+theta z)/2,
-        which is the terms of z with a fixed monomial: each basis monomial
-        is fixed or negated, so these terms double and halve while the rest
-        cancel.  The anti-invariant part of z is exactly the kernel of q_*.
+    def unit(self) -> QElement:
+        """The two-sided unit e = q_*(E) / |G|^2 of the transfer product."""
+        return super().unit()._scale(Fraction(1, self.group.order**2))
+
+    def basis(self, degree: int) -> list:
+        """The basis monomials of degree d that the group fixes.
+
+        For reflections these are the monomials with an even number of
+        sign-reversed letters; for cyclic groups, every one.
         """
-        if elt.algebra is not self.space.algebra:
-            raise StructureError(
-                f"q expects an element of {self.space.algebra.label}"
-            )
-        if not self.group.reflections:
-            return QElement(self, elt)  # every monomial is fixed, and an Element is immutable
-        sign = self._sign
-        return QElement(self, Element(elt.algebra, {m: c for m, c in elt.terms.items() if sign(m) == 1}))
+        return [mono for mono in self.space.algebra.basis(degree) if self._fixes(mono)]
 
-    def transfer(self, a: "QElement") -> Element:
-        """tr: wrong-way map back to the covering space; tr(q z) = sum_g g z."""
-        if not isinstance(a, QElement) or a.quotient is not self:
-            raise StructureError("transfer expects a class on this quotient")
-        rep, sign = a.rep, self._sign
-        if self.group.reflections and any(sign(m) != 1 for m in rep.terms):
-            raise StructureError(
-                f"non-invariant representative {rep} on the quotient"
-            )
-        return rep._scale(self.group.order)
+    invariants = basis
 
     def _fixes(self, mono: int) -> bool:
         """Whether the group fixes a basis monomial.
@@ -179,6 +211,32 @@ class Quotient:
         element is invariant exactly when each of its monomials is.
         """
         return not self.group.reflections or self._sign(mono) == 1
+
+    # -- the two structure maps ------------------------------------------
+
+    def project(self, elt: Element) -> QElement:
+        """q_*: push a covering-space class down to the quotient.
+
+        The class keeps the terms of z with a fixed monomial, which is the
+        invariant projection (z+theta z)/2: each basis monomial is fixed or
+        negated, so these terms double and halve while the rest cancel.  The
+        anti-invariant part of z is exactly the kernel of q_*.
+        """
+        if elt.algebra is not self.space.algebra:
+            raise StructureError(
+                f"q expects an element of {self.space.algebra.label}"
+            )
+        terms = elt.terms  # every monomial is fixed without reflections, and terms are never changed in place
+        if self.group.reflections:
+            sign = self._sign
+            terms = {m: c for m, c in terms.items() if sign(m) == 1}
+        return QElement(self, terms)
+
+    def transfer(self, a: QElement) -> Element:
+        """tr: wrong-way map back to the covering space, |G| times the same terms; tr(q z) = sum_g g z."""
+        if not isinstance(a, QElement) or a.algebra is not self:
+            raise StructureError("transfer expects a class on this quotient")
+        return a.rep._scale(self.group.order)
 
     def action_sum(self, elt: Element) -> Element:
         """sum_{g in G} g_*(elt), summed over the group's two kinds of element.
@@ -194,124 +252,19 @@ class Quotient:
 
     # -- the transfer product --------------------------------------------
 
-    def product(self, a: "QElement", b: "QElement") -> "QElement":
-        """P_G(a, b) = q_*( tr(a) * tr(b) )."""
+    def product(self, a: QElement, b: QElement) -> QElement:
+        """P_G(a, b) = q_*(tr(a) * tr(b)) = |G|^2 q_*(a * b): one product, one projection, one scale."""
         if not isinstance(a, QElement) or not isinstance(b, QElement):
             raise StructureError("transfer product expects quotient classes")
-        if a.quotient is not self or b.quotient is not self:
+        if a.algebra is not self or b.algebra is not self:
             raise StructureError("transfer product arguments live on different quotients")
-        return self.project(self.transfer(a) * self.transfer(b))
-
-    def unit(self) -> "QElement":
-        """The two-sided unit e = q_*(E) / |G|^2 of the transfer product."""
-        return self.project(self.space.unit) * Fraction(1, self.group.order**2)
-
-    # -- graded pieces ----------------------------------------------------
-
-    def invariants(self, degree: int) -> list:
-        """Basis monomials of degree d fixed by the action.
-
-        For reflections these are the monomials with an even number of
-        sign-reversed letters; for cyclic groups, everything.
-        """
-        return [mono for mono in self.space.algebra.basis(degree) if self._fixes(mono)]
-
-    def basis(self, degree: int) -> list:
-        """Quotient-homology basis in one degree, as QElements."""
-        return [
-            QElement(self, self.space.algebra.monomial_element(m))
-            for m in self.invariants(degree)
-        ]
+        return self.project(a.rep * b.rep)._scale(self.group.order**2)
 
     def betti(self, max_degree: int) -> BettiTable:
-        monomial_str = self.space.algebra.monomial_str
-        return self.space.table(
-            max_degree, lambda d: (self.invariants(d), []), self.group.label, lambda m: f"q({monomial_str(m)})"
-        )
+        return self.space.table(max_degree, lambda d: (self.invariants(d), []), self.group.label, self.monomial_str)
 
     def __repr__(self):
         return f"Quotient({self.space!r} / {self.group.label})"
-
-
-class QElement:
-    """A quotient-homology class, stored by its invariant representative.
-
-    `*` is the transfer product P_G and `**` its power (the 0th power is
-    the transfer unit).  Addition and scalar multiplication are inherited
-    from representatives.
-    """
-
-    __slots__ = ("quotient", "rep")
-
-    def __init__(self, quotient: Quotient, rep: Element):
-        self.quotient = quotient
-        self.rep = rep
-
-    def _combine(self, other, op):
-        if not isinstance(other, QElement):
-            return NotImplemented
-        if self.quotient is not other.quotient:
-            raise StructureError("cannot combine classes on different quotients")
-        return QElement(self.quotient, op(self.rep, other.rep))
-
-    def __bool__(self):
-        return bool(self.rep)
-
-    def degrees(self):
-        return self.rep.degrees()
-
-    def degree(self):
-        return self.rep.degree()
-
-    def is_homogeneous(self):
-        return self.rep.is_homogeneous()
-
-    def homogeneous_parts(self):
-        return {
-            d: QElement(self.quotient, part)
-            for d, part in self.rep.homogeneous_parts().items()
-        }
-
-    def __add__(self, other):
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other):
-        return self._combine(other, operator.sub)
-
-    def __neg__(self):
-        return QElement(self.quotient, -self.rep)
-
-    def __mul__(self, other):
-        if isinstance(other, QElement):
-            return self.quotient.product(self, other)
-        if is_scalar(other):
-            return QElement(self.quotient, self.rep * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if is_scalar(other):
-            return QElement(self.quotient, self.rep / other)
-        return NotImplemented
-
-    def __pow__(self, k):
-        return power(self, k, self.quotient.unit, self.quotient.product, lambda q: q.rep.terms.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, QElement):
-            return NotImplemented
-        return self.quotient is other.quotient and self.rep == other.rep
-
-    def __hash__(self):
-        return hash((id(self.quotient), self.rep))
-
-    def __str__(self):
-        alg = self.rep.algebra
-        return self.rep.format_terms(lambda mono, mag: scaled_str(mag, f"q({alg.monomial_str(mono)})"))
-
-    def __repr__(self):
-        return f"<{self} on {self.quotient!r}>"
 
 
 @functools.lru_cache(maxsize=None)
@@ -363,17 +316,17 @@ def a_product(variant: str, q: Quotient, a: QElement, b: QElement) -> QElement:
         raise DomainError("A-products live on loop quotients")
     if q.group != group:
         raise DomainError(f"the {variant} A-product needs the {group.label} quotient")
-    if a.quotient is not q or b.quotient is not q:
+    if a.algebra is not q or b.algebra is not q:
         raise StructureError("A-product arguments live on a different quotient")
     if not b:
-        return QElement(q, q.space.algebra.zero())
+        return q.zero()
     if not b.is_homogeneous():
         raise DomainError(
             f"A-product needs a homogeneous second argument, degrees {b.degrees()}"
         )
     n = q.space.n
     if variant == "vartheta" and n % 2:
-        return QElement(q, q.space.algebra.zero())
+        return q.zero()
     j = b.degree()
     sign = -1 if (n * (n - j)) % 2 else 1
     return q.product(a, b) * sign

@@ -14,7 +14,9 @@ printed elements, which may open with a negative coefficient, re-parse.
 Evaluation is context-checked against an `EvalContext` (space, optional
 quotient): names must exist in the active space, q/tr/P need a group, the
 j-maps need the matching source space.  Values are exact scalars (int or
-Fraction), algebra `Element`s, or quotient `QElement`s.
+Fraction) or `Element`s: homology classes, or quotient classes, the
+`QElement`s of a `Quotient`.  Two values of one kind add and multiply; a
+scalar adds to a homology class only, as a multiple of its unit.
 """
 
 from __future__ import annotations
@@ -309,7 +311,7 @@ class Evaluator:
             return quot.project(self._element_in(args[0], quot.space, fn))
         if fn == "tr":
             quot = self._need_quotient(fn)
-            if not isinstance(args[0], QElement) or args[0].quotient is not quot:
+            if not isinstance(args[0], QElement) or args[0].algebra is not quot:
                 raise DomainError("tr(...) expects a quotient class")
             return quot.transfer(args[0])
         if fn == "theta":
@@ -326,10 +328,10 @@ class Evaluator:
         a, b = args
         if not isinstance(a, QElement) or not isinstance(b, QElement):
             raise DomainError(f"{fn}(...) expects two quotient classes")
-        if a.quotient is not b.quotient:
+        if a.algebra is not b.algebra:
             raise StructureError(f"{fn}(...) arguments live on different quotients")
-        quot = a.quotient
-        _check_pairs(a.rep.terms, b.rep.terms)
+        quot = a.algebra
+        _check_pairs(a.terms, b.terms)
         if fn == "P":
             if quot.space.kind != LOOP:
                 raise DomainError("P(...) is the loop-space transfer product; use POmega for based classes")
@@ -341,7 +343,7 @@ class Evaluator:
         variant = "vartheta" if fn == "Avartheta" else "theta"
         # decompose an inhomogeneous second argument by degree here; the
         # underlying construction insists on homogeneous input
-        total = QElement(quot, quot.space.algebra.zero())
+        total = quot.zero()
         for part in b.homogeneous_parts().values():
             total = total + a_product(variant, quot, a, part)
         return total
@@ -350,14 +352,14 @@ class Evaluator:
 
     def _add_like(self, node: Bin, lv, rv):
         op = operator.add if node.op == "+" else operator.sub
-        # scalars act as multiples of the ambient unit when mixed with classes
-        if isinstance(lv, (int, Fraction)) and isinstance(rv, Element):
+        # scalars act as multiples of the ambient unit when mixed with homology classes, not quotient classes
+        if isinstance(lv, (int, Fraction)) and type(rv) is Element:
             lv = rv.algebra.unit() * lv
-        if isinstance(rv, (int, Fraction)) and isinstance(lv, Element):
+        if isinstance(rv, (int, Fraction)) and type(lv) is Element:
             rv = lv.algebra.unit() * rv
         if isinstance(lv, (int, Fraction)) and isinstance(rv, (int, Fraction)):
             return _as_int(op(Fraction(lv), Fraction(rv)))
-        if type(lv) is type(rv) and isinstance(lv, (Element, QElement)):
+        if type(lv) is type(rv) and isinstance(lv, Element):
             return op(lv, rv)
         raise DomainError(
             f"cannot {'add' if node.op == '+' else 'subtract'} "
@@ -368,15 +370,12 @@ class Evaluator:
         if isinstance(lv, (int, Fraction)) and isinstance(rv, (int, Fraction)):
             return _as_int(Fraction(lv) * Fraction(rv))
         if isinstance(lv, (int, Fraction)):
-            return rv * lv  # Element and QElement support scalar action
+            return rv * lv  # classes of both kinds take scalars
         if isinstance(rv, (int, Fraction)):
             return lv * rv
-        if isinstance(lv, Element) and isinstance(rv, Element):
+        if type(lv) is type(rv):  # two homology classes, or two quotient classes and the transfer product
             _check_pairs(lv.terms, rv.terms)
             return lv * rv
-        if isinstance(lv, QElement) and isinstance(rv, QElement):
-            _check_pairs(lv.rep.terms, rv.rep.terms)
-            return lv * rv  # the transfer product
         raise DomainError(f"cannot multiply {_kind_name(lv)} and {_kind_name(rv)}")
 
     def eval(self, node):
@@ -417,10 +416,10 @@ def _check_pairs(left: dict, right: dict) -> None:
 def _kind_name(value) -> str:
     if isinstance(value, (int, Fraction)):
         return "a scalar"
-    if isinstance(value, Element):
-        return "a homology class"
     if isinstance(value, QElement):
         return "a quotient class"
+    if isinstance(value, Element):
+        return "a homology class"
     return repr(value)
 
 
@@ -444,10 +443,10 @@ def values_equal(a, b) -> bool:
     """
     if isinstance(b, (int, Fraction)):
         a, b = b, a  # a scalar, if any, comes first
-    if isinstance(a, (int, Fraction)) and isinstance(b, Element):
-        return b == b.algebra.unit() * a
     if isinstance(a, (int, Fraction)) and isinstance(b, QElement):
         return a == 0 and not b
+    if isinstance(a, (int, Fraction)) and isinstance(b, Element):
+        return b == b.algebra.unit() * a
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) == Fraction(b)
     return a == b

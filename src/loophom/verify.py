@@ -23,7 +23,6 @@ from itertools import accumulate, islice, repeat
 from .core import DomainError, Element, RING_Q, RING_Z
 from .equivariant import (
     QElement,
-    Quotient,
     a_product,
     cyclic,
     dihedral,
@@ -117,10 +116,9 @@ def _check(label: str, cases, fails) -> Check:
     return Check(label, True)
 
 
-def _graded(source, bound: int) -> list:
-    """[(degree, x)] for degrees <= bound: a `Quotient`'s basis classes or an `Algebra`'s basis elements."""
-    make = (lambda b: b) if isinstance(source, Quotient) else source.monomial_element
-    return [(d, make(b)) for d in range(bound + 1) for b in source.basis(d)]
+def _graded(alg, bound: int) -> list:
+    """[(degree, x)] for the basis elements x of an `Algebra` (a `Quotient` too) of degrees <= bound."""
+    return [(d, alg.monomial_element(m)) for d in range(bound + 1) for m in alg.basis(d)]
 
 
 def _pairs(items, bound: int, others=None):
@@ -145,9 +143,9 @@ def _triples(items, bound: int, pair_op):
             yield x, y, z, xy
 
 
-def _powers(x, k_max: int, one, mul=operator.mul):
+def _powers(x, k_max: int, one):
     """(k, x^k) for k = 0..k_max, each power one product after the last."""
-    return enumerate(accumulate(repeat(x, k_max), mul, initial=one))
+    return enumerate(accumulate(repeat(x, k_max), operator.mul, initial=one))
 
 
 def _sign(exponent: int) -> int:
@@ -366,12 +364,13 @@ def suite_transfer(n, rings, D, K):
             _check(f"{tag}: tr(q(z)) = sum_g g(z) on degrees <= {D}", zs,
                    lambda d, z: q.transfer(q.project(z)) != q.action_sum(z) and f"z={z}"),
             _check(f"{tag}: q is injective on invariants (projection fixes them), degrees <= {D}", qms,
-                   lambda d, a: q.project(a.rep).rep != a.rep and f"z={a.rep}"),
+                   lambda d, a: q.project(a.rep) != a and f"z={a.rep}"),
             _check(f"{tag}: tr(P(a,b)) = |G|*tr(a)*tr(b), total degree <= {D}", _pairs(qms, D),
                    lambda da, a, db, b: q.transfer(q.product(a, b)) != order * (q.transfer(a) * q.transfer(b))
                    and f"a={a}, b={b}"),
+            # the right side through the definition P = q(tr(a)*tr(b)), not `product`'s closed form
             _check(f"{tag}: q(x*y) = |G|^-2 P(q(x),q(y)) for invariant x,y, total degree <= {D}", _pairs(qms, D),
-                   lambda da, a, db, b: q.project(a.rep * b.rep) != scale * q.product(a, b)
+                   lambda da, a, db, b: q.project(a.rep * b.rep) != scale * q.project(q.transfer(a) * q.transfer(b))
                    and f"x={a.rep}, y={b.rep}"),
         ]
         if not group.reflections:
@@ -436,15 +435,15 @@ def suite_main_theorem(n, rings, D, K):
         monos = q.invariants(d)
         if len(monos) != 1:
             return f"H_{d} has rank {len(monos)}, expected 1"
-        return set(power.rep.terms) != {monos[0]} and f"{cls_name}^{k} = {power} does not span H_{d}"
+        return set(power.terms) != {monos[0]} and f"{cls_name}^{k} = {power} does not span H_{d}"
 
     checks.append(_check(f"LS^{n}/D1: {cls_name}^k != 0 and spans H_({stride}k(n-1)+n) for k <= {K}",
-                         islice(_powers(cls, K, q.unit(), q.product), 1, None), power_fails))
+                         islice(_powers(cls, K, q.unit()), 1, None), power_fails))
 
     shift = cls.degree() - n
 
     def pairing_fails(i, src, dst):
-        images = [q.product(a, cls).rep for a in src]
+        images = [q.product(q.monomial_element(m), cls) for m in src]
         return (len(src) != len(dst) or rank_of(images, dst) != len(dst)) and (
             f"degree {i}: dim src {len(src)}, dim dst {len(dst)}, rank {rank_of(images, dst)}"
         )
@@ -469,7 +468,7 @@ def suite_theta_vs_vartheta(n, rings, D, K):
     tag = f"LS^{n}: vartheta vs theta"
 
     def to_theta(a: QElement) -> QElement:
-        return QElement(qt, chi(a.rep))
+        return qt.project(chi(a.rep))
 
     checks = [
         _check(f"{tag}: identical invariants on degrees <= {D}",
@@ -596,6 +595,8 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
             side = ">= 0" if bound < 0 else f"<= {SWEEP_BOUND}"
             raise DomainError(f"{flag} bound must be {side}, got {bound}")
     ns = tuple(ns) if ns else DEFAULT_NS
+    if len(set(ns)) < len(ns):
+        raise DomainError(f"each n may be given once, got n in {list(ns)}")
     rings = tuple(rings) if rings else (RING_Q, RING_Z)
     K = POWER_BOUND if power_bound is None else power_bound
     checks = []

@@ -102,6 +102,19 @@ def test_eval_domain_error_exits_2(capsys) -> None:
     assert code == 2  # quotients need ring Q
 
 
+def test_eval_expression_with_a_leading_minus_goes_after_a_double_dash(capsys) -> None:
+    # argparse reads an argument that begins with '-' as an option; after '--' it is the expression
+    assert _run(capsys, "eval", "--n", "3", "--", "-U") == (0, "-U\n", "")
+    assert _run(capsys, "eval", "--n", "4", "--ring", "Z", "--", "-(A*Theta)") == (0, "A*Theta\n", "")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "-U", "--n", "3"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: expression" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["eval", "--help"])
+    assert "goes after '--'" in capsys.readouterr().out
+
+
 def test_group_parsing(capsys) -> None:
     for text, order in (("C3", 3), ("D4", 8), ("theta", 2)):
         assert cli.parse_group(text).order == order
@@ -252,6 +265,20 @@ def test_verify_refuses_a_bound_past_the_sweep_bound(capsys, flag: str) -> None:
     assert code == 0
     assert out.splitlines()[0].endswith("degree bound 100") == (flag == "--degree-bound")
     assert out.splitlines()[-1] == "6/6 checks passed"
+
+
+@pytest.mark.parametrize("ns", [("3", "3"), ("3", "4", "3", "3")])
+def test_verify_refuses_a_repeated_n(capsys, ns) -> None:
+    # each suite would run once per copy, printing every line again
+    argv = ["verify", "all"]
+    for n in ns:
+        argv += ["--n", n]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: each n may be given once, got n in [{', '.join(ns)}]\n")
+    with pytest.raises(DomainError, match="each n may be given once"):
+        verify.run("algebra", ns=[3, 4, 3])
 
 
 def test_verify_title_notes_a_zero_degree_bound(capsys) -> None:

@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loophom import (
+    Algebra,
     DomainError,
+    Element,
+    QElement,
     StructureError,
     Subgroup,
     a_product,
@@ -27,6 +30,7 @@ from loophom import (
     theta_group,
     theta_star,
 )
+from loophom.verify import TRANSFER_GROUPS
 
 from oracles import quotient_betti_closed_form, transfer_product_representative
 
@@ -35,7 +39,7 @@ ALL_GROUPS = REFLECTION_GROUPS + [cyclic(1), cyclic(4)]
 
 
 def _invariant_classes(q, max_degree: int) -> list:
-    return [b for d in range(max_degree + 1) for b in q.basis(d)]
+    return [q.monomial_element(m) for d in range(max_degree + 1) for m in q.basis(d)]
 
 
 # ----------------------------------------------------------------------
@@ -54,6 +58,14 @@ def test_subgroup_orders_and_labels() -> None:
     nines = "9" * 5000  # past the int->str digit limit
     assert cyclic(10**5000 - 1).label == "C" + nines
     assert repr(dihedral(10**5000 - 1)) == f"Subgroup(m={nines}, reflections=True, rotation=Fraction(0, 1))"
+    # a rotation whose denominator is past the limit
+    tiny = conjugate_dihedral(3, Fraction(1, 10**5000))
+    assert tiny.label == "D3@1/1" + "0" * 5000
+    assert repr(tiny) == f"Subgroup(m=3, reflections=True, rotation=Fraction(1, 1{'0' * 5000}))"
+    assert repr(conjugate_dihedral(3, Fraction(1, 5))) == "Subgroup(m=3, reflections=True, rotation=Fraction(1, 5))"
+    wide = conjugate_dihedral(1, 1 - Fraction(1, 10**5000))  # numerator and denominator past the limit
+    assert wide.label == f"D1@{nines}/1{'0' * 5000}"
+    assert repr(wide) == f"Subgroup(m=1, reflections=True, rotation=Fraction({nines}, 1{'0' * 5000}))"
 
 
 def test_subgroup_is_m_reflections_rotation() -> None:
@@ -158,6 +170,34 @@ def test_quotient_is_cached() -> None:
 # ----------------------------------------------------------------------
 # invariants and projection
 # ----------------------------------------------------------------------
+
+
+def test_a_quotient_is_an_algebra_on_the_fixed_monomials() -> None:
+    space = loop_space(3, "Q")
+    alg = space.algebra
+    q = quotient(space, dihedral(1))
+    assert isinstance(q, Algebra) and q.element is QElement
+    a_u4, u2 = alg.monomial((1, 4)), alg.monomial((0, 2))
+    # the covering algebra's ints and degrees, its fixed monomials as the basis, printed as q(...)
+    assert q.basis(8) == q.invariants(8) == [a_u4] and q.basis(5) == []
+    assert q.graded_piece(7) == ([u2], [])
+    assert (q.monomial_degree(u2), q.monomial_str(u2), q.monomial_str(0)) == (7, "q(U^2)", "q(E)")
+    mu = mu_class(q)
+    assert type(mu) is QElement and isinstance(mu, Element) and mu.algebra is q
+    assert mu == q.monomial_element(u2) and hash(mu) == hash(q.monomial_element(u2))
+    assert mu.rep == space.generator("Theta") and mu.rep.algebra is alg
+    assert q.unit() == q.monomial_element(0) / 4 and q.unit() == mu**0
+    assert type(q.zero()) is QElement and str(q.zero()) == "0" and not q.zero()
+    parts = (mu + q.unit()).homogeneous_parts()
+    assert parts == {3: q.unit(), 7: mu} and all(type(p) is QElement for p in parts.values())
+    assert repr(mu) == "<q(U^2) in H(LS^3;Q)/D1>"
+    # the based quotient prints its unit monomial as q(1), never as a bare scalar
+    qo = quotient(based_loop_space(3, "Q"), cyclic(3))
+    assert str(qo.unit()) == "1/9*q(1)" and str(qo.project(based_loop_space(3, "Q").unit * 2)) == "2*q(1)"
+    # a class keeps only the transfer product and `rep` of its own
+    own = set(vars(QElement)) - {"__module__", "__qualname__", "__doc__", "__slots__", "__firstlineno__",
+                                 "__static_attributes__"}
+    assert own == {"__mul__", "rep"}
 
 
 def test_invariant_monomials_under_reflections_odd() -> None:
@@ -287,21 +327,24 @@ def test_rotation_quotients_refuse_foreign_elements_and_classes(group) -> None:
     assert q.project(z).rep == z and q.transfer(q.project(z)) == z * group.order
 
 
-def test_transfer_rejects_non_invariant_representatives() -> None:
-    from loophom.equivariant import QElement
-
+def test_normalize_refuses_unfixed_monomials() -> None:
     space = loop_space(3, "Q")
+    alg = space.algebra
     q = quotient(space, dihedral(1))
-    rigged = QElement(q, space.generator("U"))
+    e, u, theta = (alg.monomial((0, k)) for k in (0, 1, 2))  # E, U and Theta = U^2
+    with pytest.raises(StructureError, match=r"q\(U\): D1 does not fix"):
+        q.normalize([(1, u)])
     with pytest.raises(StructureError):
-        q.transfer(rigged)
-    # one invariant and one anti-invariant term: checked monomial by monomial
-    mixed = QElement(q, space.generator("E") + space.generator("U"))
-    with pytest.raises(StructureError):
-        q.transfer(mixed)
-    assert q.transfer(QElement(q, space.generator("E") + space.generator("Theta"))) == 2 * (
-        space.generator("E") + space.generator("Theta")
-    )
+        q.monomial_element(u)
+    # one fixed and one unfixed term: checked monomial by monomial
+    with pytest.raises(StructureError, match=r"q\(U\)"):
+        q.normalize([(1, e), (1, u)])
+    assert not q.normalize([(1, u), (-1, u)])  # the zero class is invariant
+    fixed = q.normalize([(1, e), (1, theta)])
+    assert q.transfer(fixed) == 2 * (space.generator("E") + space.generator("Theta"))
+    # without reflections every monomial is fixed
+    assert q.normalize([(1, e)]) == q.project(space.unit)
+    assert quotient(space, cyclic(2)).normalize([(1, e), (1, u)]).rep == space.generator("E") + space.generator("U")
 
 
 # ----------------------------------------------------------------------
@@ -309,18 +352,34 @@ def test_transfer_rejects_non_invariant_representatives() -> None:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.label)
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("group", ALL_GROUPS + [g for g in TRANSFER_GROUPS if g not in ALL_GROUPS], ids=lambda g: g.label)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_transfer_product_matches_double_sum(n: int, group) -> None:
-    space = loop_space(n, "Q")
-    q = quotient(space, group)
-    monos = [m for d in range(0, 25) for m in space.algebra.basis(d)]
-    for m1 in monos:
-        for m2 in monos:
-            x = space.algebra.monomial_element(m1)
-            y = space.algebra.monomial_element(m2)
-            product = q.product(q.project(x), q.project(y))
-            assert product.rep == transfer_product_representative(q, x, y)
+    # every pair of basis monomials up to degree 24 of the loop and the based algebra
+    for space in (loop_space(n, "Q"), based_loop_space(n, "Q")):
+        q = quotient(space, group)
+        elements = [space.algebra.monomial_element(m) for d in range(0, 25) for m in space.algebra.basis(d)]
+        for x in elements:
+            for y in elements:
+                product = q.product(q.project(x), q.project(y))
+                assert product.rep == transfer_product_representative(q, x, y), (space, x, y)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_based_transfer_product_projects_unfixed_products_away(n: int) -> None:
+    # for n even reversal is not multiplicative on the based algebra: x^3 is fixed, x^6 = x^3*x^3 is negated
+    space = based_loop_space(n, "Q")
+    x3, x6 = space.generator("x") ** 3, space.generator("x") ** 6
+    assert x3 * x3 == x6
+    for group in (dihedral(1), dihedral(3), theta_group()):
+        q = quotient(space, group)
+        assert q.project(x3).rep == x3 and not q.project(x6)
+        assert not q.product(q.project(x3), q.project(x3))
+        assert not transfer_product_representative(q, x3, x3)
+        assert not q.project(x3) * q.project(x3)
+    # without reflections nothing is projected away
+    q = quotient(space, cyclic(2))
+    assert q.product(q.project(x3), q.project(x3)) == q.project(x6) * 4
 
 
 def test_bool_is_not_a_quotient_scalar() -> None:

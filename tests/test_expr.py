@@ -276,6 +276,26 @@ def test_values_equal_identifications() -> None:
     assert values_equal(zero_class, 0)
     assert not values_equal(1, zero_class)
     assert not values_equal(zero_class, evaluate("mu", ctx))
+    # a quotient class is an Element too, yet no nonzero scalar names one, its unit q(E)/4 included
+    e = evaluate("e", ctx)
+    assert str(e) == "1/4*q(E)"
+    for scalar in (Fraction(1, 4), 1):
+        assert not values_equal(scalar, e) and not values_equal(e, scalar)
+
+
+def test_quotient_classes_mix_with_neither_scalars_nor_homology_classes() -> None:
+    ctx = _ctx("loop", 3, group=dihedral(1))
+    for text, message in (
+        ("1+q(U)", "cannot add a scalar and a quotient class"),
+        ("mu-1", "cannot subtract a quotient class and a scalar"),
+        ("q(U)*U", "cannot multiply a quotient class and a homology class"),
+        ("mu+U", "cannot add a quotient class and a homology class"),
+        ("tr(U)", r"tr\(...\) expects a quotient class"),
+        ("tr(1)", r"tr\(...\) expects a quotient class"),
+    ):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            evaluate(text, ctx)
+    assert str(evaluate("2*mu*3/4 - e + 0*mu", ctx)) == "-1/4*q(E) + 3/2*q(U^2)"
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ H_*(LS^n)), and a letter never moves past itself, so no sign arises.
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from collections import namedtuple
@@ -492,15 +493,30 @@ def scaled_str(mag, body: str) -> str:
 
 
 def _int_str(value: int) -> str:
-    """str(value) at any size; past the int->str digit limit, which stays as it is, in two halves."""
+    """str(value) at any size; past the int->str digit limit, which stays as it is, through `decimal`.
+
+    The number splits at powers of two, and the parts recombine by exact decimal products and sums,
+    which `decimal` makes in sub-quadratic time; a `Decimal` prints its digits in linear time.
+    """
     if value < 0:
         return "-" + _int_str(-value)
     try:
         return str(value)
     except ValueError:
-        half = value.bit_length() * 3 // 20  # about half of the decimal digits
-        high, low = divmod(value, 10**half)
-        return _int_str(high) + _int_str(low).zfill(half)
+        pass
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    powers: dict = {}  # bits -> Decimal(2**bits), each made once
+
+    def convert(v, bits):  # a Decimal equal to v, for 0 <= v < 2**bits
+        if bits <= 1024:
+            return decimal.Decimal(v)
+        half = bits // 2
+        high, low = v >> half, v & ((1 << half) - 1)
+        if half not in powers:
+            powers[half] = context.power(2, half)
+        return context.add(context.multiply(convert(high, bits - half), powers[half]), convert(low, half))
+
+    return str(convert(value, value.bit_length()))
 
 
 def int_from_digits(digits: str) -> int:

@@ -146,18 +146,19 @@ class QElement(Element):
     @property
     def rep(self) -> Element:
         """The invariant representative in H(X; Q): the same terms."""
-        return Element(self.algebra.space.algebra, self.terms)
+        return Element(self.algebra.space, self.terms)
 
 
 class Quotient(Algebra):
     """Rational homology of X/G with the transfer product, X = loop or omega.
 
-    An `Algebra` on the fixed monomials of X's algebra: it shares that
-    algebra's monomial ints, degrees and zero and torsion tables, its basis in
-    each degree is the fixed monomials, and its monomials print as q(...).
-    `normalize` refuses a monomial the group does not fix.  Its elements are
-    `QElement`s, whose product is the transfer product `product`; `project`
-    is q_* and `transfer` is tr.
+    An `Algebra` on the fixed monomials of the space X, which is itself an
+    `Algebra`: the quotient shares X's monomial ints, degrees and zero and
+    torsion tables, its basis in each degree is the fixed monomials, and its
+    monomials print as q(...).  It keeps X as `space` and has no kind, n or
+    named classes of its own.  `normalize` refuses a monomial the group does
+    not fix.  Its elements are `QElement`s, whose product is the transfer
+    product `product`; `project` is q_* and `transfer` is tr.
     """
 
     element = QElement
@@ -169,17 +170,17 @@ class Quotient(Algebra):
             raise DomainError("quotients are modeled for the loop and omega spaces")
         if space.n < 3:
             raise DomainError("quotient claims are modeled for n >= 3")
-        alg = space.algebra
-        vars(self).update(vars(alg))  # the covering algebra's encoding and tables, as they are
-        self.label = f"{alg.label}/{group.label}"
-        self.unit_name = f"q({alg.unit_name})"
+        vars(self).update(vars(space))  # the covering space's encoding and tables, as they are
+        del self.kind, self.n, self.named  # the space's own fields, which `space` keeps
+        self.label = f"{space.label}/{group.label}"
+        self.unit_name = f"q({space.unit_name})"
         self.space = space
         self.group = group
         self._theta = theta_star(space)
         self._sign = reversal_sign(space)
 
     def monomial_str(self, mono: int) -> str:
-        return f"q({self.space.algebra.monomial_str(mono)})"
+        return f"q({self.space.monomial_str(mono)})"
 
     def normalize(self, terms) -> QElement:
         """`Algebra.normalize`, refusing a class with a monomial the group does not fix."""
@@ -199,7 +200,7 @@ class Quotient(Algebra):
         For reflections these are the monomials with an even number of
         sign-reversed letters; for cyclic groups, every one.
         """
-        return [mono for mono in self.space.algebra.basis(degree) if self._fixes(mono)]
+        return [mono for mono in self.space.basis(degree) if self._fixes(mono)]
 
     invariants = basis
 
@@ -222,10 +223,8 @@ class Quotient(Algebra):
         negated, so these terms double and halve while the rest cancel.  The
         anti-invariant part of z is exactly the kernel of q_*.
         """
-        if elt.algebra is not self.space.algebra:
-            raise StructureError(
-                f"q expects an element of {self.space.algebra.label}"
-            )
+        if elt.algebra is not self.space:
+            raise StructureError(f"q expects an element of {self.space.label}")
         terms = elt.terms  # every monomial is fixed without reflections, and terms are never changed in place
         if self.group.reflections:
             sign = self._sign
@@ -244,8 +243,8 @@ class Quotient(Algebra):
         The m rotations act as the identity and the m reflections, if any,
         by loop reversal: the sum is m*(elt + theta_*(elt)), or m*elt.
         """
-        if elt.algebra is not self.space.algebra:
-            raise StructureError(f"the action sum expects an element of {self.space.algebra.label}")
+        if elt.algebra is not self.space:
+            raise StructureError(f"the action sum expects an element of {self.space.label}")
         if self.group.reflections:
             elt = elt + self._theta(elt)
         return elt._scale(self.group.m)
@@ -261,7 +260,7 @@ class Quotient(Algebra):
         return self.project(a.rep * b.rep)._scale(self.group.order**2)
 
     def betti(self, max_degree: int) -> BettiTable:
-        return self.space.table(max_degree, lambda d: (self.invariants(d), []), self.group.label, self.monomial_str)
+        return self.space.table(max_degree, self, self.group.label)
 
     def __repr__(self):
         return f"Quotient({self.space!r} / {self.group.label})"

@@ -286,8 +286,8 @@ class Evaluator:
     def _element_in(self, value, space: Space, fn: str) -> Element:
         if isinstance(value, (int, Fraction)):
             # scalars mean multiples of the unit class
-            return space.unit * value
-        if isinstance(value, Element) and value.algebra is space.algebra:
+            return space.unit() * value
+        if isinstance(value, Element) and value.algebra is space:
             return value
         raise DomainError(
             f"{fn}(...) expects a class of the {space.kind} space of S^{space.n}"
@@ -317,7 +317,7 @@ class Evaluator:
         if fn == "theta":
             value = args[0]
             for space in (loop_space(n, ring), based_loop_space(n, ring)):
-                if isinstance(value, Element) and value.algebra is space.algebra:
+                if isinstance(value, Element) and value.algebra is space:
                     return theta_star(space)(value)
             raise DomainError("theta(...) expects a loop or omega class")
         if fn in STRUCTURE_MAPS:

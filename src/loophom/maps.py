@@ -1,5 +1,9 @@
 """Linear maps between the sphere-attached homology algebras.
 
+A map's `source` and `target` are `Space`s, which are the algebras
+themselves: a map accepts the elements of its source and returns elements
+of its target.
+
 * ``theta_star``  — loop reversal acting on homology.  It is diagonal: it
   multiplies each basis monomial by the sign `reversal_sign(space)` gives
   it, and `Quotient` reads that sign function directly.  On the free loop
@@ -49,14 +53,14 @@ class LinearMap:
 
     def image_of_monomial(self, mono) -> Element:
         image = self._rule(mono)
-        return self.target.algebra.normalize([image] if image else [])
+        return self.target.normalize([image] if image else [])
 
     def __call__(self, elt: Element) -> Element:
         if not isinstance(elt, Element):
             raise StructureError(f"{self.label} expects an algebra element")
-        if elt.algebra is not self.source.algebra:
+        if elt.algebra is not self.source:
             raise StructureError(
-                f"{self.label} is defined on {self.source.algebra.label}, "
+                f"{self.label} is defined on {self.source.label}, "
                 f"got an element of {elt.algebra.label}"
             )
         raw = []
@@ -65,7 +69,7 @@ class LinearMap:
             if image:
                 c, m2 = image
                 raw.append((coeff * c, m2))
-        return self.target.algebra.normalize(raw)
+        return self.target.normalize(raw)
 
     def __repr__(self):
         return f"LinearMap({self.label})"
@@ -79,10 +83,9 @@ def reversal_power_sign(n: int, k: int) -> int:
 
 def reversal_sign(space: Space):
     """The sign by which loop reversal multiplies each basis monomial, as a function of the monomial."""
-    alg = space.algebra
     if space.kind == LOOP:
         # the letters that reversal negates; bit k of a monomial is the parity of the free exponent
-        flips = alg.monomial(tuple(int(g.theta_sign < 0) for g in alg.generators))
+        flips = space.monomial(tuple(int(g.theta_sign < 0) for g in space.generators))
         return lambda mono: -1 if (mono & flips).bit_count() % 2 else 1
     if space.kind == OMEGA:
         return lambda mono: reversal_power_sign(space.n, mono)  # mono is the exponent of x
@@ -92,22 +95,22 @@ def reversal_sign(space: Space):
 def theta_star(space: Space) -> LinearMap:
     """Loop reversal on homology (an involution and product endomorphism)."""
     sign = reversal_sign(space)
-    return LinearMap(space, space, lambda mono: (sign(mono), mono), f"theta on {space.algebra.label}")
+    return LinearMap(space, space, lambda mono: (sign(mono), mono), f"theta on {space.label}")
 
 
 def chi_star(space: Space) -> LinearMap:
     """Comparison between the two reflection quotients; the identity map."""
-    return LinearMap(space, space, lambda mono: (1, mono), f"chi on {space.algebra.label}")
+    return LinearMap(space, space, lambda mono: (1, mono), f"chi on {space.label}")
 
 
 def ev_star(n: int, ring: str) -> LinearMap:
     """Basepoint evaluation loop -> sphere (an algebra map)."""
     source = loop_space(n, ring)
     target = sphere_space(n, ring)
-    a_mono = source.algebra.monomial((1, 0) if n % 2 else (0, 1, 0))
+    a_mono = source.monomial((1, 0) if n % 2 else (0, 1, 0))
     # A to the point class, E to the fundamental class (the unit), everything else to 0
-    images = {a_mono: (1, target.algebra.monomial((1,))), 0: (1, 0)}
-    return LinearMap(source, target, images.get, f"ev0 on {source.algebra.label}")
+    images = {a_mono: (1, target.monomial((1,))), 0: (1, 0)}
+    return LinearMap(source, target, images.get, f"ev0 on {source.label}")
 
 
 def j_shriek(n: int, ring: str) -> LinearMap:
@@ -115,10 +118,10 @@ def j_shriek(n: int, ring: str) -> LinearMap:
     source, target = loop_space(n, ring), based_loop_space(n, ring)
 
     def rule(mono):
-        *nilpotent, k = source.algebra.exponents(mono)
-        return None if any(nilpotent) else (1, target.algebra.monomial((k if n % 2 else 2 * k,)))
+        *nilpotent, k = source.exponents(mono)
+        return None if any(nilpotent) else (1, target.monomial((k if n % 2 else 2 * k,)))
 
-    return LinearMap(source, target, rule, f"j! on {source.algebra.label}")
+    return LinearMap(source, target, rule, f"j! on {source.label}")
 
 
 def j_star(n: int, ring: str) -> LinearMap:
@@ -126,7 +129,7 @@ def j_star(n: int, ring: str) -> LinearMap:
     source, target = based_loop_space(n, ring), loop_space(n, ring)
 
     def rule(mono):
-        (k,) = source.algebra.exponents(mono)
+        (k,) = source.exponents(mono)
         if n % 2:
             exps = (1, k)
         elif k % 2:
@@ -134,6 +137,6 @@ def j_star(n: int, ring: str) -> LinearMap:
         else:
             # A for k = 0, else the torsion class A*Theta^{k/2}; normalization kills it over Q
             exps = (0, 1, k // 2)
-        return 1, target.algebra.monomial(exps)
+        return 1, target.monomial(exps)
 
-    return LinearMap(source, target, rule, f"j* on {source.algebra.label}")
+    return LinearMap(source, target, rule, f"j* on {source.label}")

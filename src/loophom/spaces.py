@@ -1,5 +1,10 @@
 """The graded algebras attached to a sphere S^n.
 
+A space is its homology algebra: `loop_space`, `based_loop_space` and
+`sphere_space` each return one `Space`, an `Algebra` that also knows its
+`kind`, its `n` and its `named` classes.  Its unit is `space.unit()`, and
+`betti` and `table` list its graded pieces, or a quotient's, row by row.
+
 Three spaces, three products:
 
 * ``loop``   — homology of the free loop space with the Chas-Sullivan loop
@@ -43,15 +48,21 @@ SPHERE = "sphere"
 MAX_TABLE_DEGREE = 100_000
 
 
-class Space:
-    """An algebra plus its cast of named homology classes."""
+class Space(Algebra):
+    """The algebra of one space of S^n, plus its `kind`, `n` and cast of `named` classes.
 
-    def __init__(self, kind, n, ring, algebra, named):
+    `letters` maps each name to the exponent vector of its monomial, and the
+    unit is named too unless its name is a number; the rest of the keyword
+    arguments are `Algebra`'s.
+    """
+
+    def __init__(self, kind: str, n: int, letters: dict, **algebra):
+        super().__init__(**algebra)
         self.kind = kind
         self.n = n
-        self.ring = ring
-        self.algebra = algebra
-        self.named = named
+        self.named = {name: self.monomial_element(self.monomial(exps)) for name, exps in letters.items()}
+        if self.unit_name.isidentifier():  # the based unit 1 reads as the scalar 1
+            self.named[self.unit_name] = self.unit()
 
     def generator(self, name: str) -> Element:
         try:
@@ -61,10 +72,6 @@ class Space:
                 f"{self.kind} space of S^{self.n} has no class named {name!r} "
                 f"(available: {', '.join(sorted(self.named))})"
             ) from None
-
-    @property
-    def unit(self) -> Element:
-        return self.algebra.unit()
 
     def family_of(self, mono: int):
         """Closed-form family tag of a basis monomial, or None.
@@ -76,13 +83,13 @@ class Space:
         if self.kind != LOOP:
             return None
         if self.n % 2:
-            a, k = self.algebra.exponents(mono)
+            a, k = self.exponents(mono)
             if k == 0:
                 return None
             if a == 1:
                 return f"lambda_{(k + 1) // 2}" if k % 2 else f"n-1+lambda_{k // 2}"
             return f"n+lambda_{(k + 1) // 2}" if k % 2 else f"2n-1+lambda_{k // 2}"
-        s, a, k = self.algebra.exponents(mono)
+        s, a, k = self.exponents(mono)
         if s == 1:
             return f"lambda_{k + 1}"
         if k == 0:
@@ -91,24 +98,25 @@ class Space:
 
     def betti(self, max_degree: int) -> "BettiTable":
         """Ranks and torsion in degrees 0..max_degree, nonzero rows only."""
-        return self.table(max_degree, self.algebra.graded_piece, None, self.algebra.monomial_str)
+        return self.table(max_degree, self, None)
 
-    def table(self, max_degree: int, piece, group, name) -> "BettiTable":
-        """The rows of piece(d) = (free, torsion) basis monomials for d <= max_degree.
+    def table(self, max_degree: int, alg: Algebra, group) -> "BettiTable":
+        """The rows of `alg`, this space or one of its quotients, in degrees <= max_degree.
 
-        Each row lists its monomials as name(monomial) and carries their
-        common family tag, if any; `group` labels a quotient's table.
+        A row lists the free and then the torsion monomials of `alg.graded_piece`,
+        printed by `alg.monomial_str`, and carries their common family tag, if
+        any; `group` labels a quotient's table.
         """
         if not 0 <= max_degree <= MAX_TABLE_DEGREE:
             raise DomainError(f"max_degree must be in 0..{MAX_TABLE_DEGREE}, got {max_degree}")
         rows = []
         for d in range(max_degree + 1):
-            free, torsion = piece(d)
+            free, torsion = alg.graded_piece(d)
             if not free and not torsion:
                 continue
             families = {self.family_of(m) for m in free + torsion}
             family = families.pop() if len(families) == 1 else None
-            gens = tuple(name(m) for m in free + torsion)
+            gens = tuple(map(alg.monomial_str, free + torsion))
             rows.append(TableRow(d, len(free), (2,) * len(torsion), gens, family))
         return BettiTable(self.kind, self.n, self.ring, group, max_degree, tuple(rows))
 
@@ -146,13 +154,7 @@ def loop_space(n: int, ring: str) -> Space:
             Generator("A", shifted=-n, nilpotent=True, theta_sign=1),
             Generator("U", shifted=n - 1, theta_sign=-1),
         )
-        alg = Algebra(
-            label=f"H(LS^{n};{ring})",
-            ring=ring,
-            generators=gens,
-            shift=n,
-            unit_name="E",
-        )
+        rules = {}
         letters = {"A": (1, 0), "U": (0, 1), "sigma1": (1, 1), "Theta": (0, 2)}
     else:
         if n < 2:
@@ -162,20 +164,15 @@ def loop_space(n: int, ring: str) -> Space:
             Generator("A", shifted=-n, nilpotent=True, theta_sign=1),
             Generator("Theta", shifted=2 * n - 2, theta_sign=-1),
         )
-        alg = Algebra(
-            label=f"H(LS^{n};{ring})",
-            ring=ring,
-            generators=gens,
-            shift=n,
-            unit_name="E",
+        rules = {
             # a monomial is Theta's exponent << 2 | A's bit << 1 | sigma1's bit
-            extra_zero_rules=(0b011,),  # sigma1*A = 0
-            torsion_rules=(0b110,),  # 2*A*Theta = 0
-        )
+            "extra_zero_rules": (0b011,),  # sigma1*A = 0
+            "torsion_rules": (0b110,),  # 2*A*Theta = 0
+        }
         letters = {"A": (0, 1, 0), "sigma1": (1, 0, 0), "Theta": (0, 0, 1)}
-    named = {name: alg.monomial_element(alg.monomial(exps)) for name, exps in letters.items()}
-    named["E"] = alg.unit()
-    return Space(LOOP, n, ring, alg, named)
+    return Space(
+        LOOP, n, letters, label=f"H(LS^{n};{ring})", ring=ring, generators=gens, shift=n, unit_name="E", **rules
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,15 +181,7 @@ def based_loop_space(n: int, ring: str) -> Space:
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     gens = (Generator("x", shifted=n - 1, theta_sign=-1),)
-    alg = Algebra(
-        label=f"H(OS^{n};{ring})",
-        ring=ring,
-        generators=gens,
-        shift=0,
-        unit_name="1",
-    )
-    named = {"x": alg.monomial_element(1)}
-    return Space(OMEGA, n, ring, alg, named)
+    return Space(OMEGA, n, {"x": (1,)}, label=f"H(OS^{n};{ring})", ring=ring, generators=gens, shift=0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,18 +190,8 @@ def sphere_space(n: int, ring: str) -> Space:
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     gens = (Generator("pt", shifted=-n, nilpotent=True, theta_sign=1),)
-    alg = Algebra(
-        label=f"H(S^{n};{ring})",
-        ring=ring,
-        generators=gens,
-        shift=n,
-        unit_name="fundamental",
-    )
-    named = {
-        "pt": alg.monomial_element(1),
-        "fundamental": alg.unit(),
-    }
-    return Space(SPHERE, n, ring, alg, named)
+    return Space(SPHERE, n, {"pt": (1,)}, label=f"H(S^{n};{ring})", ring=ring, generators=gens, shift=n,
+                 unit_name="fundamental")
 
 
 def make_space(kind: str, n: int, ring: str) -> Space:

@@ -250,7 +250,7 @@ def transfer_product_representative(q: Quotient, x: Element, y: Element) -> Elem
     def act(factor: str, elt: Element) -> Element:
         return reverse(elt) if factor == "reversal" else elt
 
-    total = q.space.algebra.zero()
+    total = q.space.zero()
     for g in factors:
         for h in factors:
             total = total + act(g, x) * act(h, y)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import os
@@ -297,6 +298,17 @@ def test_verify_restricts_to_requested_ring(capsys) -> None:
     assert ";Q)" not in out
 
 
+def test_verify_refuses_a_bad_n_before_any_suite_runs() -> None:
+    # n = 2 is refused by the quotient suites only; the four suites before them used to run first, for seconds
+    start = time.perf_counter()
+    result = _loophom("verify", "all", "--n", "3", "--n", "2")
+    assert time.perf_counter() - start < 1.0
+    assert result == (2, "", "error: quotient claims are modeled for n >= 3\n")
+    code, out, err = _loophom("verify", "algebra", "--n", "2")
+    assert (code, err) == (0, "")
+    assert out.startswith("verify algebra: n in [2]")
+
+
 def test_verify_report_reads_its_checks() -> None:
     report = verify.run("main-theorem", ns=[3], degree_bound=10, power_bound=5)
     assert report.title == "verify main-theorem: n in [3], rings ['Q', 'Z'], degree bound 10"
@@ -492,6 +504,19 @@ def test_eval_prints_coefficients_past_the_digit_limit(capsys) -> None:
     assert rest == "q(U^16000)\n"
     assert len(coeff) == 4816
     assert decimal_value(coeff) == 4**7999
+
+
+def test_eval_prints_a_product_of_big_powers_fast() -> None:
+    # 2^5240000 has 1,577,398 digits; printing them by halving with divmod took about 30 s
+    start = time.perf_counter()
+    code, out, err = _loophom("eval", "*".join(["2^1048000"] * 5), "--n", "3")
+    assert time.perf_counter() - start < 5.0
+    assert (code, err, len(out)) == (0, "", 1577399)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = 40, decimal.MAX_EMAX
+        leading = str(decimal.Decimal(2) ** 5240000).replace(".", "")[:30]
+    assert out[:30] == leading
+    assert out[-31:] == str(pow(2, 5240000, 10**30)).zfill(30) + "\n"
 
 
 @pytest.mark.parametrize("text", ["U^²", "5¹"])

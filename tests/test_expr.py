@@ -198,9 +198,9 @@ def test_eval_scalars() -> None:
 def test_scalars_promote_to_unit_multiples() -> None:
     ctx = _ctx("loop", 3)
     space = loop_space(3, "Q")
-    assert evaluate("A + 1", ctx) == space.generator("A") + space.unit
-    assert evaluate("2 - A", ctx) == 2 * space.unit - space.generator("A")
-    assert evaluate("3*E", ctx) == 3 * space.unit
+    assert evaluate("A + 1", ctx) == space.generator("A") + space.unit()
+    assert evaluate("2 - A", ctx) == 2 * space.unit() - space.generator("A")
+    assert evaluate("3*E", ctx) == 3 * space.unit()
     # and inside function arguments
     ctx_d1 = _ctx("loop", 3, group=dihedral(1))
     assert format_value(evaluate("q(2)", ctx_d1)) == "2*q(E)"
@@ -266,9 +266,9 @@ def test_eval_arity_and_domain_errors() -> None:
 
 def test_values_equal_identifications() -> None:
     space = based_loop_space(3, "Q")
-    assert values_equal(2, 2 * space.unit)
-    assert values_equal(2 * space.unit, 2)
-    assert not values_equal(2, 3 * space.unit)
+    assert values_equal(2, 2 * space.unit())
+    assert values_equal(2 * space.unit(), 2)
+    assert not values_equal(2, 3 * space.unit())
     assert values_equal(Fraction(1, 2), Fraction(2, 4))
     ctx = _ctx("loop", 3, group=dihedral(1))
     zero_class = evaluate("q(U)", ctx)

@@ -5,13 +5,22 @@ from __future__ import annotations
 import pytest
 
 from loophom import (
+    Algebra,
     DomainError,
+    Space,
     based_loop_space,
+    chi_star,
+    cyclic,
     dihedral,
+    ev_star,
+    j_shriek,
+    j_star,
     loop_space,
     make_space,
     quotient,
     sphere_space,
+    theta_group,
+    theta_star,
 )
 
 from oracles import (
@@ -100,23 +109,23 @@ def test_unknown_name_lists_alternatives() -> None:
 
 def test_family_tags_odd() -> None:
     space = loop_space(3, "Q")
-    assert space.family_of(space.algebra.monomial((1, 0))) is None  # A
-    assert space.family_of(space.algebra.monomial((0, 0))) is None  # E
-    assert space.family_of(space.algebra.monomial((1, 1))) == "lambda_1"
-    assert space.family_of(space.algebra.monomial((1, 2))) == "n-1+lambda_1"
-    assert space.family_of(space.algebra.monomial((0, 1))) == "n+lambda_1"
-    assert space.family_of(space.algebra.monomial((0, 2))) == "2n-1+lambda_1"
-    assert space.family_of(space.algebra.monomial((1, 5))) == "lambda_3"
+    assert space.family_of(space.monomial((1, 0))) is None  # A
+    assert space.family_of(space.monomial((0, 0))) is None  # E
+    assert space.family_of(space.monomial((1, 1))) == "lambda_1"
+    assert space.family_of(space.monomial((1, 2))) == "n-1+lambda_1"
+    assert space.family_of(space.monomial((0, 1))) == "n+lambda_1"
+    assert space.family_of(space.monomial((0, 2))) == "2n-1+lambda_1"
+    assert space.family_of(space.monomial((1, 5))) == "lambda_3"
 
 
 def test_family_tags_even() -> None:
     space = loop_space(4, "Z")
-    assert space.family_of(space.algebra.monomial((0, 1, 0))) is None  # A
-    assert space.family_of(space.algebra.monomial((0, 0, 0))) is None  # E
-    assert space.family_of(space.algebra.monomial((1, 0, 0))) == "lambda_1"
-    assert space.family_of(space.algebra.monomial((1, 0, 2))) == "lambda_3"
-    assert space.family_of(space.algebra.monomial((0, 1, 1))) == "n-1+lambda_1"
-    assert space.family_of(space.algebra.monomial((0, 0, 2))) == "2n-1+lambda_2"
+    assert space.family_of(space.monomial((0, 1, 0))) is None  # A
+    assert space.family_of(space.monomial((0, 0, 0))) is None  # E
+    assert space.family_of(space.monomial((1, 0, 0))) == "lambda_1"
+    assert space.family_of(space.monomial((1, 0, 2))) == "lambda_3"
+    assert space.family_of(space.monomial((0, 1, 1))) == "n-1+lambda_1"
+    assert space.family_of(space.monomial((0, 0, 2))) == "2n-1+lambda_2"
 
 
 def test_family_tags_match_degrees() -> None:
@@ -154,8 +163,8 @@ def test_dimension_bounds() -> None:
         based_loop_space(1, "Q")
     with pytest.raises(DomainError):
         sphere_space(1, "Q")
-    alg = loop_space(2, "Q").algebra
-    assert alg.basis(0) == [alg.monomial((0, 1, 0))]
+    space = loop_space(2, "Q")
+    assert space.basis(0) == [space.monomial((0, 1, 0))]
 
 
 def test_negative_table_bound_rejected() -> None:
@@ -210,3 +219,60 @@ def test_table_fields_of_a_quotient_table() -> None:
         (8, 1, (), ("q(A*U^4)",), "n-1+lambda_2"),
     ]
     assert (table.rank(7), table.rank(5), table.torsion(7)) == (1, 0, ())
+
+
+# ----------------------------------------------------------------------
+# a space is its algebra
+# ----------------------------------------------------------------------
+
+CONSTRUCTORS = (loop_space, based_loop_space, sphere_space)
+
+
+@pytest.mark.parametrize("ring", ["Q", "Z"])
+@pytest.mark.parametrize("make", CONSTRUCTORS)
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_space_is_one_algebra(make, n: int, ring: str) -> None:
+    space = make(n, ring)
+    assert isinstance(space, Space) and isinstance(space, Algebra)
+    assert not hasattr(space, "algebra")
+    assert space.named and all(cls.algebra is space for cls in space.named.values())
+    unit = space.unit()
+    assert unit.algebra is space and unit.terms == {0: 1} and str(unit) == space.unit_name
+    if space.unit_name in space.named:  # E and the fundamental class; the based unit 1 reads as the scalar 1
+        assert space.generator(space.unit_name) == unit
+    else:
+        assert (space.kind, space.unit_name) == ("omega", "1")
+
+
+@pytest.mark.parametrize("ring", ["Q", "Z"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_structure_maps_go_between_spaces(n: int, ring: str) -> None:
+    loop, omega = loop_space(n, ring), based_loop_space(n, ring)
+    maps = (theta_star(loop), theta_star(omega), chi_star(loop), ev_star(n, ring), j_shriek(n, ring), j_star(n, ring))
+    for mp in maps:
+        assert isinstance(mp.source, Space) and isinstance(mp.target, Space)
+        for d in range(3 * n + 1):
+            for mono in mp.source.basis(d):
+                assert mp(mp.source.monomial_element(mono)).algebra is mp.target
+                assert mp.image_of_monomial(mono).algebra is mp.target
+
+
+@pytest.mark.parametrize("group", [cyclic(2), dihedral(1), dihedral(3), theta_group()], ids=lambda g: g.label)
+@pytest.mark.parametrize("make", [loop_space, based_loop_space])
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_quotient_is_an_algebra_over_its_space(make, n: int, group) -> None:
+    space = make(n, "Q")
+    q = quotient(space, group)
+    assert q.space is space and isinstance(q, Algebra) and not isinstance(q, Space)
+    assert not any(hasattr(q, field) for field in ("named", "kind", "n", "algebra"))
+    max_degree = 6 * n
+    rows = []
+    for d in range(max_degree + 1):
+        monos = q.basis(d)
+        if monos:
+            families = {space.family_of(m) for m in monos}
+            family = families.pop() if len(families) == 1 else None
+            rows.append((d, len(monos), (), tuple(f"q({space.monomial_str(m)})" for m in monos), family))
+    table = q.betti(max_degree)
+    assert (table.space, table.n, table.ring, table.group) == (space.kind, n, "Q", group.label)
+    assert [tuple(row) for row in table.rows] == rows

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
@@ -323,13 +322,6 @@ class Element:
     def coefficient(self, mono: int):
         return self.terms.get(mono, 0)
 
-    def sorted_terms(self):
-        """Terms in canonical print order: by degree, then monomial."""
-        alg = self.algebra
-        return sorted(
-            self.terms.items(), key=lambda kv: (alg.monomial_degree(kv[0]), kv[0])
-        )
-
     # -- arithmetic ------------------------------------------------------
 
     def _check_same(self, other: "Element"):
@@ -393,7 +385,7 @@ class Element:
         return NotImplemented
 
     def __pow__(self, k):
-        return power(self, k, self.algebra.unit, operator.mul, lambda e: e.terms.values())
+        return power(self, k)
 
     # -- comparison and display -------------------------------------------
 
@@ -405,23 +397,19 @@ class Element:
     def __hash__(self):
         return hash((id(self.algebra), frozenset(self.terms.items())))
 
-    def format_terms(self, term_str) -> str:
-        """Signed sum of term_str(monomial, |coefficient|) in print order."""
-        out = ""
-        for mono, coeff in self.sorted_terms():
-            sign = (" - " if coeff < 0 else " + ") if out else ("-" if coeff < 0 else "")
-            out += sign + term_str(mono, abs(coeff))
-        return out or "0"
-
     def __str__(self):
+        """The signed sum of the terms, by degree and then monomial; a coefficient 1 is not printed."""
         alg = self.algebra
-
-        def term_str(mono, mag):
+        out = ""
+        for mono, coeff in sorted(self.terms.items(), key=lambda kv: (alg.monomial_degree(kv[0]), kv[0])):
+            sign = (" - " if coeff < 0 else " + ") if out else ("-" if coeff < 0 else "")
+            mag = abs(coeff)
             if mono == 0 and alg.unit_name == "1":
-                return scalar_str(mag)
-            return scaled_str(mag, alg.monomial_str(mono))
-
-        return self.format_terms(term_str)
+                body = scalar_str(mag)
+            else:
+                body = alg.monomial_str(mono) if mag == 1 else f"{scalar_str(mag)}*{alg.monomial_str(mono)}"
+            out += sign + body
+        return out or "0"
 
     def __repr__(self):
         return f"<{self} in {self.algebra.label}>"
@@ -442,37 +430,46 @@ def is_scalar(value) -> bool:
 POWER_BITS = 1 << 20
 #: most terms a power may have; squaring costs the square of the count, and coefficient bits barely grow
 POWER_TERMS = 128
-#: most coefficient bits the term products of one step of a power may hold in all: len(y) * bits(x) +
-#: len(x) * bits(y) for x * y.  Checked before the product, so a costly step is refused, not made; a
-#: product of two single terms under POWER_BITS forms at most 2 * POWER_BITS
+#: most coefficient bits the term products of one product may hold in all: len(y) * bits(x) +
+#: len(x) * bits(y) for x * y.  `check_work` checks it before each step of a power and before each
+#: product `expr` forms, so a costly product is refused, not made; two single terms under POWER_BITS
+#: form at most 2 * POWER_BITS
 POWER_WORK = 8 * POWER_BITS
 
 
-def power(base, k, unit, mul, coefficients):
-    """base**k by square-and-multiply: unit() for k = 0, else at most 2*log2(k) products mul(x, y).
-
-    DomainError before a product whose term products would hold more than POWER_WORK coefficient bits,
-    and once a partial power has more than POWER_TERMS terms or coefficients of more than POWER_BITS bits.
-    """
+def power(base, k):
+    """base**k of a scalar or an `Element` by square-and-multiply: the unit for k = 0, else at most
+    2*log2(k) products, each checked first by `check_work`.  DomainError once a partial power has more
+    than POWER_TERMS terms or coefficients of more than POWER_BITS bits."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise DomainError(f"exponent must be a natural number, got {k!r}")
-
-    def times(x, y):
-        cx, cy = coefficients(x), coefficients(y)
-        if len(cy) * _bits(cx) + len(cx) * _bits(cy) > POWER_WORK:
-            raise DomainError(f"a power with exponent {k} needs term products of more than {POWER_WORK} bits in all")
-        return mul(x, y)
-
-    out = unit() if k == 0 else base
+        raise DomainError(f"exponent must be a natural number, got {_int_str(k) if type(k) is int else repr(k)}")
+    what = f"a power with exponent {_int_str(k)}"
+    out = (base.algebra.unit() if isinstance(base, Element) else 1) if k == 0 else base
     for bit in bin(k)[3:]:
-        out = times(out, out)
+        check_work(out, out, what)
+        out = out * out
         if bit == "1":
-            out = times(out, base)
-        if len(coefficients(out)) > POWER_TERMS:
-            raise DomainError(f"a power with exponent {k} has more than {POWER_TERMS} terms")
-        if _bits(coefficients(out)) > POWER_BITS:
-            raise DomainError(f"a power with exponent {k} has coefficients of more than {POWER_BITS} bits in all")
+            check_work(out, base, what)
+            out = out * base
+        coefficients = _coefficients(out)
+        if len(coefficients) > POWER_TERMS:
+            raise DomainError(f"{what} has more than {POWER_TERMS} terms")
+        if _bits(coefficients) > POWER_BITS:
+            raise DomainError(f"{what} has coefficients of more than {POWER_BITS} bits in all")
     return out
+
+
+def check_work(x, y, what: str) -> None:
+    """DomainError, naming `what`, when the term products of x * y (scalars or `Element`s) would hold
+    more than POWER_WORK coefficient bits in all."""
+    cx, cy = _coefficients(x), _coefficients(y)
+    if len(cy) * _bits(cx) + len(cx) * _bits(cy) > POWER_WORK:
+        raise DomainError(f"{what} needs term products of more than {POWER_WORK} bits in all")
+
+
+def _coefficients(value):
+    """The coefficients of an `Element`'s terms, or a scalar as its own one coefficient."""
+    return value.terms.values() if isinstance(value, Element) else (value,)
 
 
 def _bits(coefficients) -> int:
@@ -485,11 +482,6 @@ def scalar_str(value) -> str:
     if isinstance(value, Fraction) and value.denominator != 1:
         return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
     return _int_str(int(value))
-
-
-def scaled_str(mag, body: str) -> str:
-    """One printed term: body, prefixed by the scalar mag unless it is 1."""
-    return body if mag == 1 else f"{scalar_str(mag)}*{body}"
 
 
 def _int_str(value: int) -> str:

@@ -260,7 +260,7 @@ class Quotient(Algebra):
         return self.project(a.rep * b.rep)._scale(self.group.order**2)
 
     def betti(self, max_degree: int) -> BettiTable:
-        return self.space.table(max_degree, self, self.group.label)
+        return self.space.table(max_degree, self)
 
     def __repr__(self):
         return f"Quotient({self.space!r} / {self.group.label})"

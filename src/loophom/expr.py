@@ -25,7 +25,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .core import DomainError, Element, StructureError, int_from_digits, power, scalar_str
+from .core import DomainError, Element, StructureError, check_work, int_from_digits, power, scalar_str
 from .equivariant import QElement, Quotient, a_product, eta_class, mu_class, quotient
 from .maps import ev_star, j_shriek, j_star, theta_star
 from .spaces import LOOP, OMEGA, Space, based_loop_space, loop_space
@@ -332,6 +332,7 @@ class Evaluator:
             raise StructureError(f"{fn}(...) arguments live on different quotients")
         quot = a.algebra
         _check_pairs(a.terms, b.terms)
+        check_work(a, b, "a product")
         if fn == "P":
             if quot.space.kind != LOOP:
                 raise DomainError("P(...) is the loop-space transfer product; use POmega for based classes")
@@ -367,16 +368,12 @@ class Evaluator:
         )
 
     def _mul(self, node: Bin, lv, rv):
-        if isinstance(lv, (int, Fraction)) and isinstance(rv, (int, Fraction)):
-            return _as_int(Fraction(lv) * Fraction(rv))
-        if isinstance(lv, (int, Fraction)):
-            return rv * lv  # classes of both kinds take scalars
-        if isinstance(rv, (int, Fraction)):
-            return lv * rv
-        if type(lv) is type(rv):  # two homology classes, or two quotient classes and the transfer product
-            _check_pairs(lv.terms, rv.terms)
-            return lv * rv
-        raise DomainError(f"cannot multiply {_kind_name(lv)} and {_kind_name(rv)}")
+        if isinstance(lv, Element) and isinstance(rv, Element):
+            if type(lv) is not type(rv):
+                raise DomainError(f"cannot multiply {_kind_name(lv)} and {_kind_name(rv)}")
+            _check_pairs(lv.terms, rv.terms)  # two homology classes, or two quotient classes and the transfer product
+        check_work(lv, rv, "a product")
+        return _as_int(lv * rv)  # classes of both kinds take scalars
 
     def eval(self, node):
         if isinstance(node, Num):
@@ -388,7 +385,7 @@ class Evaluator:
         if isinstance(node, Pow):
             base = self.eval(node.base)
             if isinstance(base, (int, Fraction)):
-                return power(base, node.exponent, lambda: 1, operator.mul, lambda c: (c,))
+                return power(base, node.exponent)
             return base**node.exponent
         if isinstance(node, Bin):
             chain = []  # a + b + ... nests to the left without bound: walk its spine in a loop

@@ -98,14 +98,14 @@ class Space(Algebra):
 
     def betti(self, max_degree: int) -> "BettiTable":
         """Ranks and torsion in degrees 0..max_degree, nonzero rows only."""
-        return self.table(max_degree, self, None)
+        return self.table(max_degree, self)
 
-    def table(self, max_degree: int, alg: Algebra, group) -> "BettiTable":
+    def table(self, max_degree: int, alg: Algebra) -> "BettiTable":
         """The rows of `alg`, this space or one of its quotients, in degrees <= max_degree.
 
         A row lists the free and then the torsion monomials of `alg.graded_piece`,
         printed by `alg.monomial_str`, and carries their common family tag, if
-        any; `group` labels a quotient's table.
+        any; a quotient's table carries its group's label.
         """
         if not 0 <= max_degree <= MAX_TABLE_DEGREE:
             raise DomainError(f"max_degree must be in 0..{MAX_TABLE_DEGREE}, got {max_degree}")
@@ -118,6 +118,7 @@ class Space(Algebra):
             family = families.pop() if len(families) == 1 else None
             gens = tuple(map(alg.monomial_str, free + torsion))
             rows.append(TableRow(d, len(free), (2,) * len(torsion), gens, family))
+        group = None if alg is self else alg.group.label
         return BettiTable(self.kind, self.n, self.ring, group, max_degree, tuple(rows))
 
     def __repr__(self):

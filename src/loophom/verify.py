@@ -133,19 +133,19 @@ def _pairs(items, bound: int, others=None):
             yield dx, x, dy, y
 
 
-def _triples(items, bound: int, pair_op):
-    """(x, y, z, pair_op(x, y)) with degrees summing to <= bound; pair_op runs once per pair."""
+def _triples(items, bound: int):
+    """(x, y, z, x * y) with degrees summing to <= bound; x * y is formed once per pair."""
     for dx, x, dy, y in _pairs(items, bound):
-        xy = pair_op(x, y)
+        xy = x * y
         for dz, z in items:
             if dx + dy + dz > bound:
                 break
             yield x, y, z, xy
 
 
-def _powers(x, k_max: int, one):
-    """(k, x^k) for k = 0..k_max, each power one product after the last."""
-    return enumerate(accumulate(repeat(x, k_max), operator.mul, initial=one))
+def _powers(x, k_max: int):
+    """(k, x^k) for k = 0..k_max, from the unit of x's algebra, each power one product after the last."""
+    return enumerate(accumulate(repeat(x, k_max), operator.mul, initial=x.algebra.unit()))
 
 
 def _sign(exponent: int) -> int:
@@ -176,7 +176,7 @@ def suite_algebra(n, rings, D, K):
                     f"{tag}: v*u = (-1)^((deg u - n)(deg v - n)) u*v, total degree <= {D}", _pairs(ms, D),
                     lambda du, u, dv, v: v * u != _sign((du - n) * (dv - n)) * (u * v) and f"u={u}, v={v}"))
             checks.append(_check(
-                f"{tag}: (u*v)*w = u*(v*w) on basis triples, total degree <= {D}", _triples(ms, D, operator.mul),
+                f"{tag}: (u*v)*w = u*(v*w) on basis triples, total degree <= {D}", _triples(ms, D),
                 lambda u, v, w, uv: uv * w != u * (v * w) and f"u={u}, v={v}, w={w}"))
 
     # torsion lives exactly in degrees 2r(n-1), and only over Z, n even
@@ -235,7 +235,7 @@ def suite_presentation(n, rings, D, K):
             ((k, space.basis(k), space.basis(k + 2 * n - 2)) for k in range(1, D + 1)), bijection_fails))
 
         # nonnilpotence
-        checks.append(_check(f"{tag}: Theta^k != 0 for k <= {K}", islice(_powers(theta, K, space.unit()), 1, None),
+        checks.append(_check(f"{tag}: Theta^k != 0 for k <= {K}", islice(_powers(theta, K), 1, None),
                              lambda k, power: not power and f"Theta^{k} = 0"))
 
         if n % 2 == 0:
@@ -284,7 +284,7 @@ def suite_maps(n, rings, D, K):
 
         # Pontrjagin sign law and the power-sign case split
         kmax = max(REVERSAL_POWER_BOUND, D // max(1, n - 1))
-        powers = list(_powers(omega.generator("x"), kmax, omega.unit()))
+        powers = list(_powers(omega.generator("x"), kmax))
         checks.append(_check(
             f"{omega.label}: (-1)^(|a||b|) theta(a)*theta(b) = theta(a*b), powers <= {kmax}", _pairs(powers, kmax),
             lambda i, a, j, b: _sign(i * (n - 1) * j * (n - 1)) * (tho(a) * tho(b)) != tho(a * b)
@@ -406,7 +406,7 @@ def suite_quotient_product(n, rings, D, K):
             _check(f"{tag}: P(b,a) = (-1)^((deg a - n)(deg b - n)) P(a,b), total degree <= {D}", _pairs(qms, D),
                    lambda da, a, db, b: q.product(b, a) != _sign((da - n) * (db - n)) * q.product(a, b)
                    and f"a={a}, b={b}"),
-            _check(f"{tag}: P(P(a,b),c) = P(a,P(b,c)), total degree <= {D}", _triples(qms, D, q.product),
+            _check(f"{tag}: P(P(a,b),c) = P(a,P(b,c)), total degree <= {D}", _triples(qms, D),
                    lambda a, b, c, ab: q.product(ab, c) != q.product(a, q.product(b, c)) and f"a={a}, b={b}, c={c}"),
         ]
     return checks
@@ -432,7 +432,7 @@ def suite_main_theorem(n, rings, D, K):
         return set(power.terms) != {monos[0]} and f"{cls_name}^{k} = {power} does not span H_{d}"
 
     checks.append(_check(f"LS^{n}/D1: {cls_name}^k != 0 and spans H_({stride}k(n-1)+n) for k <= {K}",
-                         islice(_powers(cls, K, q.unit()), 1, None), power_fails))
+                         islice(_powers(cls, K), 1, None), power_fails))
 
     shift = cls.degree() - n
 

@@ -337,13 +337,14 @@ def test_eval_huge_power_is_fast() -> None:
     assert (result.returncode, result.stdout, result.stderr) == (0, "U^100000000\n", "")
 
 
-def _refused_within_a_second(*argv: str, ceiling: str = "bits") -> None:
+def _refused_within_a_second(*argv: str, ceiling: str = "bits") -> str:
     # a child process, so that a missing refusal fails the test instead of running for hours
     result = subprocess.run(
         [sys.executable, "-m", "loophom.cli", "eval", *argv], capture_output=True, text=True, timeout=1.0
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert ceiling in result.stderr
+    return result.stderr
 
 
 @pytest.mark.parametrize("argv", [("mu^100000000", "--group", "D1"), ("(2*U)^100000000",)])
@@ -355,6 +356,13 @@ def test_eval_huge_element_power_is_refused_at_once(argv) -> None:
 def test_eval_power_of_a_sum_is_refused_at_once(argv) -> None:
     # binomial coefficients grow by a bit per unit of exponent, so the term count trips first
     _refused_within_a_second(argv[0], "--n", "3", *argv[1:], ceiling=f"more than {POWER_TERMS} terms")
+
+
+@pytest.mark.parametrize("argv", [("(U+E)^",), ("(2*U)^",), ("2^",), ("mu^", "--group", "D1")])
+def test_eval_refuses_a_power_with_a_long_exponent(argv) -> None:
+    # the message names the exponent, whose 5000 digits pass the int->str digit limit
+    err = _refused_within_a_second(argv[0] + "9" * 5000, "--n", "3", *argv[1:], ceiling="")
+    assert err.startswith("error: a power with exponent 999")
 
 
 def test_eval_two_term_power_stays_under_the_term_ceiling() -> None:
@@ -416,9 +424,17 @@ def test_eval_long_sum_of_distinct_terms_is_fast() -> None:
 
 
 def test_eval_product_chain_is_refused_at_once() -> None:
-    # 20 factors of 128 terms: the sixth product would multiply 636 * 128 pairs
+    # 20 factors of 128 terms: the third product would form 255 * 128 term products of about 8.3 * 2^20 bits
     _refused_within_a_second(
-        "*".join(["(x+1)^127"] * 20), "--space", "omega", "--n", "3", ceiling=f"more than {MAX_PRODUCT_PAIRS} pairs"
+        "*".join(["(x+1)^127"] * 20), "--space", "omega", "--n", "3", ceiling=f"more than {POWER_WORK} bits"
+    )
+
+
+@pytest.mark.parametrize("factor", ["2^1048000", "(2^1048000*U)"])
+def test_eval_product_of_nine_big_powers_is_refused_at_once(factor: str) -> None:
+    # the eighth product would form 8 * 1048000 + 1 and 1048001 bits: about 9.0 * 2^20 bits of term products
+    _refused_within_a_second(
+        "*".join([factor] * 9), "--n", "3", ceiling=f"a product needs term products of more than {POWER_WORK} bits"
     )
 
 
@@ -507,16 +523,18 @@ def test_eval_prints_coefficients_past_the_digit_limit(capsys) -> None:
 
 
 def test_eval_prints_a_product_of_big_powers_fast() -> None:
-    # 2^5240000 has 1,577,398 digits; printing them by halving with divmod took about 30 s
-    start = time.perf_counter()
-    code, out, err = _loophom("eval", "*".join(["2^1048000"] * 5), "--n", "3")
-    assert time.perf_counter() - start < 5.0
-    assert (code, err, len(out)) == (0, "", 1577399)
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax = 40, decimal.MAX_EMAX
-        leading = str(decimal.Decimal(2) ** 5240000).replace(".", "")[:30]
-    assert out[:30] == leading
-    assert out[-31:] == str(pow(2, 5240000, 10**30)).zfill(30) + "\n"
+    # 2^5240000 has 1,577,398 digits; printing them by halving with divmod took about 30 s.  Eight factors,
+    # 2,523,836 digits, are the most the product ceiling lets through
+    for factors, size in ((5, 1577399), (8, 2523837)):
+        start = time.perf_counter()
+        code, out, err = _loophom("eval", "*".join(["2^1048000"] * factors), "--n", "3")
+        assert time.perf_counter() - start < 5.0
+        assert (code, err, len(out)) == (0, "", size)
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax = 40, decimal.MAX_EMAX
+            leading = str(decimal.Decimal(2) ** (1048000 * factors)).replace(".", "")[:30]
+        assert out[:30] == leading
+        assert out[-31:] == str(pow(2, 1048000 * factors, 10**30)).zfill(30) + "\n"
 
 
 @pytest.mark.parametrize("text", ["U^²", "5¹"])

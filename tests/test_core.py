@@ -20,7 +20,7 @@ from loophom import (
     loop_space,
     sphere_space,
 )
-from loophom.core import int_from_digits, scalar_str
+from loophom.core import int_from_digits, power, scalar_str
 
 from oracles import (
     brute_force_basis,
@@ -337,6 +337,11 @@ def test_powers_are_iterated_products(data, k: int) -> None:
     for _ in range(k):
         expected = expected * a
     assert a**k == expected
+
+
+@given(st.integers(-50, 50) | st.fractions(-50, 50, max_denominator=50), st.integers(0, 50))
+def test_scalar_powers_are_fraction_powers(c, k: int) -> None:
+    assert power(c, k) == Fraction(c) ** k
 
 
 @given(element_tuples(1))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import functools
+import operator
 import pickle
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from loophom import (
     theta_group,
     theta_star,
 )
+from loophom import verify
 from loophom.verify import TRANSFER_GROUPS
 
 from oracles import quotient_betti_closed_form, transfer_product_representative
@@ -393,6 +396,27 @@ def test_quotient_powers_by_squaring_match_iterated_products() -> None:
     for k in range(12):
         assert a**k == expected
         expected = q.product(expected, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([dihedral(1), theta_group(), cyclic(3)]),
+    st.sampled_from([loop_space, based_loop_space]),
+    st.sampled_from([3, 4]),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(-6, 6), st.integers(1, 4)), max_size=4),
+    st.integers(0, 6),
+)
+def test_quotient_powers_are_iterated_transfer_products(group, make, n, terms, k) -> None:
+    q = quotient(make(n, "Q"), group)
+    pool = [m for d in range(41) for m in q.basis(d)]
+    a = q.normalize([(Fraction(c, den), pool[i % len(pool)]) for i, c, den in terms])
+    assert a**k == functools.reduce(operator.mul, [a] * k, q.unit())
+
+
+def test_verify_powers_start_from_the_unit_of_their_algebra() -> None:
+    q = quotient(loop_space(3, "Q"), dihedral(1))
+    for x in (mu_class(q), q.space.generator("U"), based_loop_space(4, "Q").generator("x")):
+        assert list(verify._powers(x, 2)) == [(0, x.algebra.unit()), (1, x), (2, x * x)]
 
 
 def test_transfer_product_frozen_example() -> None:

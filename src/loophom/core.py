@@ -232,6 +232,23 @@ class Algebra:
                 out.pop(mono, None)
         return self.element(self, out)
 
+    def _products(self, left: dict, right: dict, factor=1) -> dict:
+        """The collected sums of factor*c1*c2 over the term pairs of two normal term maps, by product monomial.
+
+        Both are normal, so every product monomial is valid (`mul_monomials` refuses overlapping
+        nilpotent bits): only the zero rule applies here, and `_reduce` applies the coefficient rule.
+        """
+        mul, k, nil, zero_from = self.mul_monomials, self._k, self._nil, self._zero_from
+        right = right.items()
+        acc: dict = {}
+        for m1, c1 in left.items():
+            c1 *= factor
+            for m2, c2 in right:
+                mono = mul(m1, m2)
+                if mono is not None and mono >> k < zero_from[mono & nil]:
+                    acc[mono] = acc.get(mono, 0) + c1 * c2
+        return acc
+
     def zero(self) -> "Element":
         return self.element(self, {})
 
@@ -350,19 +367,9 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            # both factors are normal, so every product monomial is valid (`mul_monomials` refuses
-            # overlapping nilpotent bits): only the zero rule and the reduction tail apply
             self._check_same(other)
             alg = self.algebra
-            mul, k, nil, zero_from = alg.mul_monomials, alg._k, alg._nil, alg._zero_from
-            right = other.terms.items()
-            acc: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in right:
-                    mono = mul(m1, m2)
-                    if mono is not None and mono >> k < zero_from[mono & nil]:
-                        acc[mono] = acc.get(mono, 0) + c1 * c2
-            return alg._reduce(acc, {})
+            return alg._reduce(alg._products(self.terms, other.terms), {})
         if is_scalar(other):
             return self._scale(other)
         return NotImplemented

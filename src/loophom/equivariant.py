@@ -235,7 +235,8 @@ class Quotient(Algebra):
         """tr: wrong-way map back to the covering space, |G| times the same terms; tr(q z) = sum_g g z."""
         if not isinstance(a, QElement) or a.algebra is not self:
             raise StructureError("transfer expects a class on this quotient")
-        return a.rep._scale(self.group.order)
+        order = self.group.order
+        return self.space._reduce({m: c * order for m, c in a.terms.items()}, {})
 
     def action_sum(self, elt: Element) -> Element:
         """sum_{g in G} g_*(elt), summed over the group's two kinds of element.
@@ -252,12 +253,20 @@ class Quotient(Algebra):
     # -- the transfer product --------------------------------------------
 
     def product(self, a: QElement, b: QElement) -> QElement:
-        """P_G(a, b) = q_*(tr(a) * tr(b)) = |G|^2 q_*(a * b): one product, one projection, one scale."""
+        """P_G(a, b) = q_*(tr(a) * tr(b)) = |G|^2 q_*(a * b), in one pass over the term pairs.
+
+        The sums |G|^2 c1 c2 are collected by product monomial, the unfixed monomials dropped (they
+        are the kernel of q_*), and the rest reduced once; no covering-space element is built.
+        """
         if not isinstance(a, QElement) or not isinstance(b, QElement):
             raise StructureError("transfer product expects quotient classes")
         if a.algebra is not self or b.algebra is not self:
             raise StructureError("transfer product arguments live on different quotients")
-        return self.project(a.rep * b.rep)._scale(self.group.order**2)
+        acc = self._products(a.terms, b.terms, self.group.order**2)
+        if self.group.reflections:
+            sign = self._sign
+            acc = {m: c for m, c in acc.items() if sign(m) == 1}
+        return self._reduce(acc, {})
 
     def betti(self, max_degree: int) -> BettiTable:
         return self.space.table(max_degree, self)

@@ -47,6 +47,8 @@ SWEEP_BOUND = 100
 POWER_BOUND = 25
 REVERSAL_POWER_BOUND = 40
 TORSION_POWER_BOUND = 20
+#: most distinct n one `run` accepts; every suite runs once per n
+MAX_NS = 16
 
 
 class Check(namedtuple("Check", "label passed detail", defaults=("",))):
@@ -122,15 +124,18 @@ def _graded(alg, bound: int) -> list:
 
 
 def _pairs(items, bound: int, others=None):
-    """(dx, x, dy, y) for x in items, y in others (default items), dx + dy <= bound.
+    """ix + iy for ix in items, iy in others (default items), with degrees ix[0] + iy[0] <= bound.
 
-    Both lists are sorted by degree, so each scan over y stops at the bound.
+    An item is (degree, class) or (degree, class, images of the class...), so a pair of plain items
+    is (dx, x, dy, y), and an image made once per class rides along to every pair.  Both lists are
+    sorted by degree, so each scan over iy stops at the bound.
     """
-    for dx, x in items:
-        for dy, y in items if others is None else others:
-            if dx + dy > bound:
+    for ix in items:
+        dx = ix[0]
+        for iy in items if others is None else others:
+            if dx + iy[0] > bound:
                 break
-            yield dx, x, dy, y
+            yield ix + iy
 
 
 def _triples(items, bound: int):
@@ -268,8 +273,9 @@ def suite_maps(n, rings, D, K):
                                  lambda d, u: mp(mp(u)) != u and f"u={u}"))
 
         ms = _graded(loop, D)
-        checks.append(_check(f"{loop.label}: theta(u*v) = theta(u)*theta(v), total degree <= {D}", _pairs(ms, D),
-                             lambda du, u, dv, v: th(u * v) != th(u) * th(v) and f"u={u}, v={v}"))
+        images = [(d, u, th(u), ev(u)) for d, u in ms]  # each class with its theta and ev images
+        checks.append(_check(f"{loop.label}: theta(u*v) = theta(u)*theta(v), total degree <= {D}", _pairs(images, D),
+                             lambda du, u, tu, eu, dv, v, tv, ev_v: th(u * v) != tu * tv and f"u={u}, v={v}"))
 
         theta_cls = loop.generator("Theta")
         want = theta_cls if (n - 1) % 2 == 0 else -theta_cls
@@ -284,16 +290,16 @@ def suite_maps(n, rings, D, K):
 
         # Pontrjagin sign law and the power-sign case split
         kmax = max(REVERSAL_POWER_BOUND, D // max(1, n - 1))
-        powers = list(_powers(omega.generator("x"), kmax))
+        powers = [(k, power, tho(power)) for k, power in _powers(omega.generator("x"), kmax)]
         checks.append(_check(
             f"{omega.label}: (-1)^(|a||b|) theta(a)*theta(b) = theta(a*b), powers <= {kmax}", _pairs(powers, kmax),
-            lambda i, a, j, b: _sign(i * (n - 1) * j * (n - 1)) * (tho(a) * tho(b)) != tho(a * b)
+            lambda i, a, ta, j, b, tb: _sign(i * (n - 1) * j * (n - 1)) * (ta * tb) != tho(a * b)
             and f"a=x^{i}, b=x^{j}"))
 
-        def sign_fails(k, power):
+        def sign_fails(k, power, image):
             expected = _sign(k) if n % 2 or ((k - 1) * k) % 4 == 0 else -_sign(k)
-            if tho(power) != expected * power:
-                return f"k={k}: theta(x^{k}) = {tho(power)}, expected sign {expected}"
+            if image != expected * power:
+                return f"k={k}: theta(x^{k}) = {image}, expected sign {expected}"
             return reversal_power_sign(n, k) != expected and f"k={k}: closed-form sign disagrees with case split"
 
         checks.append(_check(
@@ -301,8 +307,8 @@ def suite_maps(n, rings, D, K):
             powers[: REVERSAL_POWER_BOUND + 1], sign_fails))
 
         # evaluation at the basepoint is an algebra map
-        checks.append(_check(f"{loop.label}: ev(u*v) = ev(u).ev(v), total degree <= {D}", _pairs(ms, D),
-                             lambda du, u, dv, v: ev(u * v) != ev(u) * ev(v) and f"u={u}, v={v}"))
+        checks.append(_check(f"{loop.label}: ev(u*v) = ev(u).ev(v), total degree <= {D}", _pairs(images, D),
+                             lambda du, u, tu, eu, dv, v, tv, ev_v: ev(u * v) != eu * ev_v and f"u={u}, v={v}"))
         ok = ev(loop.generator("A")) == sphere.generator("pt") and ev(loop.unit()) == sphere.unit()
         checks.append(Check(f"{loop.label}: ev(A) = pt, ev(E) = fundamental", ok, ""))
     return checks
@@ -317,16 +323,16 @@ def suite_gysin(n, rings, D, K):
         jb = j_shriek(n, ring)
         js = j_star(n, ring)
         tag = f"S^{n}({ring})"
-        lms = _graded(loop, D)
-        oms = _graded(omega, D)
+        lms = [(d, a, jb(a)) for d, a in _graded(loop, D)]  # each loop class with its j! image
+        oms = [(d, y, js(y)) for d, y in _graded(omega, D)]  # each based class with its j* image
         a_cls = loop.generator("A")
         checks += [
             _check(f"{tag}: j!(u*v) = j!(u).j!(v), total degree <= {D}", _pairs(lms, D),
-                   lambda du, u, dv, v: jb(u * v) != jb(u) * jb(v) and f"u={u}, v={v}"),
+                   lambda du, u, ju, dv, v, jv: jb(u * v) != ju * jv and f"u={u}, v={v}"),
             _check(f"{tag}: j*(y)*a = j*(y.j!(a)), total degree <= {D}", _pairs(oms, D, lms),
-                   lambda dy, y, da, a: js(y) * a != js(y * jb(a)) and f"y={y}, a={a}"),
+                   lambda dy, y, jy, da, a, ja: jy * a != js(y * ja) and f"y={y}, a={a}"),
             _check(f"{tag}: j*(j!(a)) = A*a on degrees <= {D}", lms,
-                   lambda da, a: js(jb(a)) != a_cls * a and f"a={a}"),
+                   lambda da, a, ja: js(ja) != a_cls * a and f"a={a}"),
         ]
 
         x = omega.generator("x")
@@ -351,21 +357,21 @@ def suite_transfer(n, rings, D, K):
         order = group.order
         scale = Fraction(1, order**2)
         tag = f"LS^{n}/{group.label}"
-        qms = _graded(q, D)
+        qms = [(d, a, a.rep, q.transfer(a)) for d, a in _graded(q, D)]  # each class with its rep and tr
         checks += [
             _check(f"{tag}: q(tr(a)) = |G|*a on degrees <= {D}", qms,
-                   lambda d, a: q.project(q.transfer(a)) != order * a and f"a={a}"),
+                   lambda d, a, z, ta: q.project(ta) != order * a and f"a={a}"),
             _check(f"{tag}: tr(q(z)) = sum_g g(z) on degrees <= {D}", zs,
                    lambda d, z: q.transfer(q.project(z)) != q.action_sum(z) and f"z={z}"),
             _check(f"{tag}: q is injective on invariants (projection fixes them), degrees <= {D}", qms,
-                   lambda d, a: q.project(a.rep) != a and f"z={a.rep}"),
+                   lambda d, a, z, ta: q.project(z) != a and f"z={z}"),
             _check(f"{tag}: tr(P(a,b)) = |G|*tr(a)*tr(b), total degree <= {D}", _pairs(qms, D),
-                   lambda da, a, db, b: q.transfer(q.product(a, b)) != order * (q.transfer(a) * q.transfer(b))
+                   lambda da, a, x, ta, db, b, y, tb: q.transfer(q.product(a, b)) != order * (ta * tb)
                    and f"a={a}, b={b}"),
             # the right side through the definition P = q(tr(a)*tr(b)), not `product`'s closed form
             _check(f"{tag}: q(x*y) = |G|^-2 P(q(x),q(y)) for invariant x,y, total degree <= {D}", _pairs(qms, D),
-                   lambda da, a, db, b: q.project(a.rep * b.rep) != scale * q.project(q.transfer(a) * q.transfer(b))
-                   and f"x={a.rep}, y={b.rep}"),
+                   lambda da, a, x, ta, db, b, y, tb: q.project(x * y) != scale * q.project(ta * tb)
+                   and f"x={x}, y={y}"),
         ]
         if not group.reflections:
             checks.append(_check(f"{tag}: rotations leave every class invariant, degrees <= {D}",
@@ -375,19 +381,20 @@ def suite_transfer(n, rings, D, K):
     # unscaled products on dihedral quotients do not depend on m
     base = quotient(loop, dihedral(1))
     pair_bound = min(D, PRODUCT_BOUND)
-    qms = [(d, m) for d in range(pair_bound + 1) for m in base.invariants(d)]
+    qms = [(d, loop.monomial_element(m)) for d in range(pair_bound + 1) for m in base.invariants(d)]
     scale_1 = Fraction(1, dihedral(1).order ** 2)
+    # the D1 side depends on the pair only, so it is made once per pair, not once per m
+    pairs = [(x, y, (scale_1 * base.product(base.project(x), base.project(y))).rep)
+             for dx, x, dy, y in _pairs(qms, pair_bound)]
 
-    def unscaled_fails(m, da, ma, db, mb):
+    def unscaled_fails(m, x, y, lhs):
         qm = quotient(loop, dihedral(m))
-        x, y = loop.monomial_element(ma), loop.monomial_element(mb)
-        lhs = (scale_1 * base.product(base.project(x), base.project(y))).rep
         rhs = (Fraction(1, dihedral(m).order ** 2) * qm.product(qm.project(x), qm.project(y))).rep
-        return lhs != rhs and f"m={m}, x={loop.monomial_str(ma)}, y={loop.monomial_str(mb)}"
+        return lhs != rhs and f"m={m}, x={x}, y={y}"
 
     checks.append(_check(
         f"LS^{n}/D_m: unscaled transfer products agree for m in 1..5, total degree <= {pair_bound}",
-        ((m, *pair) for m in range(2, 6) for pair in _pairs(qms, pair_bound)), unscaled_fails))
+        ((m, *pair) for m in range(2, 6) for pair in pairs), unscaled_fails))
     return checks
 
 
@@ -468,9 +475,9 @@ def suite_theta_vs_vartheta(n, rings, D, K):
         _check(f"{tag}: identical invariants on degrees <= {D}",
                ((d, qv.invariants(d), qt.invariants(d)) for d in range(D + 1)),
                lambda d, v, t: v != t and f"degree {d}"),
-        _check(f"{tag}: chi intertwines P_vartheta and P_theta, total degree <= {D}", _pairs(_graded(qv, D), D),
-               lambda da, a, db, b: to_theta(qv.product(a, b)) != qt.product(to_theta(a), to_theta(b))
-               and f"a={a}, b={b}"),
+        _check(f"{tag}: chi intertwines P_vartheta and P_theta, total degree <= {D}",
+               _pairs([(d, a, to_theta(a)) for d, a in _graded(qv, D)], D),
+               lambda da, a, ta, db, b, tb: to_theta(qv.product(a, b)) != qt.product(ta, tb) and f"a={a}, b={b}"),
     ]
     ok = to_theta(qv.unit()) == qt.unit()
     if n % 2:
@@ -536,16 +543,17 @@ def suite_quotient_homs(n, rings, D, K):
     def j_quot(a: QElement) -> QElement:
         return qo.project(jb(q.transfer(a))) * inv_order
 
-    qms = _graded(q, D)
+    qms = [(d, a, ev_quot(a), j_quot(a)) for d, a in _graded(q, D)]  # each class with its ev/G and j/G
     tag = f"LS^{n}/D1"
     checks = [
         _check(f"{tag}: (ev/G)(P(a,b)) = |G|^2 (ev/G)(a).(ev/G)(b), total degree <= {D}", _pairs(qms, D),
-               lambda da, a, db, b: ev_quot(q.product(a, b)) != order**2 * (ev_quot(a) * ev_quot(b))
+               lambda da, a, ev_a, j_a, db, b, ev_b, j_b: ev_quot(q.product(a, b)) != order**2 * (ev_a * ev_b)
                and f"a={a}, b={b}"),
         Check(f"{tag}: (ev/G)(e) = fundamental/|G|^2",
               ev_quot(q.unit()) == sphere_space(n, RING_Q).unit() / order**2),
         _check(f"{tag}: (j/G)(P(a,b)) = POmega((j/G)(a),(j/G)(b)), total degree <= {D}", _pairs(qms, D),
-               lambda da, a, db, b: j_quot(q.product(a, b)) != qo.product(j_quot(a), j_quot(b)) and f"a={a}, b={b}"),
+               lambda da, a, ev_a, j_a, db, b, ev_b, j_b: j_quot(q.product(a, b)) != qo.product(j_a, j_b)
+               and f"a={a}, b={b}"),
         Check(f"{tag}: (j/G)(e) is the based transfer unit", j_quot(q.unit()) == qo.unit()),
     ]
 
@@ -594,6 +602,8 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
     ns = tuple(ns) if ns else DEFAULT_NS
     if len(set(ns)) < len(ns):
         raise DomainError(f"each n may be given once, got n in {list(ns)}")
+    if len(ns) > MAX_NS:
+        raise DomainError(f"at most {MAX_NS} distinct values of n may be given, got {len(ns)}")
     rings = tuple(rings) if rings else (RING_Q, RING_Z)
     K = POWER_BOUND if power_bound is None else power_bound
     for name in names:  # refuse a bad n before any suite runs, with the error its suite would raise

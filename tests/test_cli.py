@@ -282,6 +282,18 @@ def test_verify_refuses_a_repeated_n(capsys, ns) -> None:
         verify.run("algebra", ns=[3, 4, 3])
 
 
+def test_verify_refuses_more_distinct_ns_than_its_ceiling(capsys) -> None:
+    # every suite runs once per n, so without a ceiling one argv could ask for thousands of runs
+    argv = ["verify", "all"]
+    for n in range(3, verify.MAX_NS + 4):
+        argv += ["--n", str(n)]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: at most 16 distinct values of n may be given, got 17\n")
+    assert verify.run("algebra", ns=range(3, verify.MAX_NS + 3), rings=["Q"], degree_bound=0).passed
+
+
 def test_verify_title_notes_a_zero_degree_bound(capsys) -> None:
     code, out, _ = _run(capsys, "verify", "algebra", "--n", "3", "--degree-bound", "0")
     assert code == 0

@@ -365,6 +365,35 @@ def test_transfer_product_matches_double_sum(n: int, group) -> None:
                 assert product.rep == transfer_product_representative(q, x, y), (space, x, y)
 
 
+def _fixed_and_negated(space):
+    """A basis class t other than the unit that loop reversal fixes, with t*t != 0, and one it negates."""
+    reverse = theta_star(space)
+    classes = [space.monomial_element(m) for d in range(41) for m in space.basis(d) if m]
+    t = next(z for z in classes if reverse(z) == z and z * z)
+    u = next(z for z in classes if reverse(z) == -z)
+    return t, u
+
+
+@pytest.mark.parametrize("group", [dihedral(1), dihedral(3), theta_group(), cyclic(2), cyclic(5)], ids=lambda g: g.label)
+@pytest.mark.parametrize("make", [loop_space, based_loop_space], ids=["loop", "omega"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_transfer_product_matches_double_sum_on_sums(n: int, make, group) -> None:
+    # sums with fractional and negative coefficients: the t terms of x*y cancel, q_* drops the u terms
+    # under a reflection, and |G|^2 turns some fractional sums integral
+    space = make(n, "Q")
+    q = quotient(space, group)
+    e = space.unit()
+    t, u = _fixed_and_negated(space)
+    x = Fraction(1, 2) * e + Fraction(1, 2) * t - 3 * u
+    y = t - e + Fraction(2, 3) * u
+    product = q.product(q.project(x), q.project(y))
+    assert product.rep == transfer_product_representative(q, x, y)
+    for a in (q.project(x), q.project(y), product):
+        assert q.transfer(a) == a.rep * group.order
+    for elt in (product, q.transfer(q.project(x)), q.transfer(product)):
+        assert all(type(c) is int for c in elt.terms.values() if c.denominator == 1), elt.terms
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_based_transfer_product_projects_unfixed_products_away(n: int) -> None:
     # for n even reversal is not multiplicative on the based algebra: x^3 is fixed, x^6 = x^3*x^3 is negated

@@ -275,7 +275,8 @@ def suite_maps(n, rings, D, K):
         ms = _graded(loop, D)
         images = [(d, u, th(u), ev(u)) for d, u in ms]  # each class with its theta and ev images
         checks.append(_check(f"{loop.label}: theta(u*v) = theta(u)*theta(v), total degree <= {D}", _pairs(images, D),
-                             lambda du, u, tu, eu, dv, v, tv, ev_v: th(u * v) != tu * tv and f"u={u}, v={v}"))
+                             lambda du, u, th_u, ev_u, dv, v, th_v, ev_v: th(u * v) != th_u * th_v
+                             and f"u={u}, v={v}"))
 
         theta_cls = loop.generator("Theta")
         want = theta_cls if (n - 1) % 2 == 0 else -theta_cls
@@ -308,7 +309,8 @@ def suite_maps(n, rings, D, K):
 
         # evaluation at the basepoint is an algebra map
         checks.append(_check(f"{loop.label}: ev(u*v) = ev(u).ev(v), total degree <= {D}", _pairs(images, D),
-                             lambda du, u, tu, eu, dv, v, tv, ev_v: ev(u * v) != eu * ev_v and f"u={u}, v={v}"))
+                             lambda du, u, th_u, ev_u, dv, v, th_v, ev_v: ev(u * v) != ev_u * ev_v
+                             and f"u={u}, v={v}"))
         ok = ev(loop.generator("A")) == sphere.generator("pt") and ev(loop.unit()) == sphere.unit()
         checks.append(Check(f"{loop.label}: ev(A) = pt, ev(E) = fundamental", ok, ""))
     return checks

@@ -24,6 +24,10 @@ from .spaces import BettiTable, make_space
 from . import verify as verify_mod
 
 _GROUP_RE = re.compile(r"([CD])([0-9]+)")
+#: most command-line arguments a command may have, checked before argparse, whose time grows with the square of
+#: the number of flags; the longest legitimate command, `verify` with 16 distinct --n, --ring, --degree-bound
+#: and --power-bound, has 40
+MAX_ARGV = 64
 
 
 def parse_group(text: str) -> Subgroup:
@@ -159,6 +163,10 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > MAX_ARGV:
+        print(f"error: at most {MAX_ARGV} command-line arguments may be given, got {len(argv)}", file=sys.stderr)
+        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -22,6 +22,7 @@ scalar adds to a homology class only, as a multiple of its unit.
 from __future__ import annotations
 
 import operator
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -54,48 +55,32 @@ MAX_NESTING = 100
 MAX_PRODUCT_PAIRS = 1 << 16
 
 
+#: a number (ASCII digits only: int() would read other digits, like '²', differently), a word, an operator,
+#: or one whitespace character; a word is a NAME only when it starts with a letter or '_'
+_TOKEN = re.compile(r"([0-9]+)|(\w+)|([-+*^/(),])|(\s)")
+
+
 def tokenize(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i = 0
+    line, line_start = 1, 0  # line_start: the offset of the current line's first character
+    pos = 0
     depth = 0  # parentheses opened and not yet closed
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: int() would read other digits, like '²', differently
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(Token("NUMBER", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^/(),":
-            depth += (ch == "(") - (ch == ")")
+    while pos < len(text):
+        col = pos - line_start + 1
+        match = _TOKEN.match(text, pos)
+        if match is None or match.lastindex == 2 and not (text[pos].isalpha() or text[pos] == "_"):
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        word, kind = match.group(), match.lastindex
+        if kind == 3:
+            depth += (word == "(") - (word == ")")
             if depth > MAX_NESTING:
                 raise ExprSyntaxError(f"more than {MAX_NESTING} nested parentheses and calls", line, col)
-            tokens.append(Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("END", "", line, col))
+        if kind < 4:
+            tokens.append(Token(("NUMBER", "NAME", word)[kind - 1], word, line, col))
+        elif word == "\n":
+            line, line_start = line + 1, pos + 1
+        pos = match.end()
+    tokens.append(Token("END", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -239,49 +224,44 @@ STRUCTURE_MAPS = {
 }
 
 
-class EvalContext:
-    """The flag-selected space (and quotient, when a group is given)."""
-
-    def __init__(self, space: Space, group=None):
-        self.space = space
-        self.quotient = quotient(space, group) if group is not None else None
-
-
 def _as_int(value) -> object:
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     return value
 
 
-class Evaluator:
-    def __init__(self, context: EvalContext):
-        self.ctx = context
+class EvalContext:
+    """The flag-selected space (and quotient, when a group is given), which evaluates syntax trees over them."""
+
+    def __init__(self, space: Space, group=None):
+        self.space = space
+        self.quotient = quotient(space, group) if group is not None else None
 
     # -- names ---------------------------------------------------------
 
     def _lookup(self, node: Name):
         name = node.ident
-        space = self.ctx.space
+        space = self.space
         if name in space.named:
             return space.named[name]
-        if self.ctx.quotient is not None:
+        if self.quotient is not None:
             if name == "e":
-                return self.ctx.quotient.unit()
+                return self.quotient.unit()
             if name == "mu":
-                return mu_class(self.ctx.quotient)
+                return mu_class(self.quotient)
             if name == "eta":
-                return eta_class(self.ctx.quotient)
+                return eta_class(self.quotient)
         raise DomainError(
             f"unknown name {name!r} in the {space.kind} space of S^{space.n}"
-            + ("" if self.ctx.quotient else " (no group selected)")
+            + ("" if self.quotient else " (no group selected)")
         )
 
     # -- functions -------------------------------------------------------
 
     def _need_quotient(self, fn: str) -> Quotient:
-        if self.ctx.quotient is None:
+        if self.quotient is None:
             raise DomainError(f"{fn}(...) needs a --group")
-        return self.ctx.quotient
+        return self.quotient
 
     def _element_in(self, value, space: Space, fn: str) -> Element:
         if isinstance(value, (int, Fraction)):
@@ -304,7 +284,6 @@ class Evaluator:
                 f"got {len(node.args)}"
             )
         args = [self.eval(a) for a in node.args]
-        n, ring = self.ctx.space.n, self.ctx.space.ring
 
         if fn == "q":
             quot = self._need_quotient(fn)
@@ -315,13 +294,13 @@ class Evaluator:
                 raise DomainError("tr(...) expects a quotient class")
             return quot.transfer(args[0])
         if fn == "theta":
-            value = args[0]
-            for space in (loop_space(n, ring), based_loop_space(n, ring)):
-                if isinstance(value, Element) and value.algebra is space:
-                    return theta_star(space)(value)
-            raise DomainError("theta(...) expects a loop or omega class")
+            value = args[0]  # a QElement's quotient has no kind; every space here has the context's n and ring
+            if type(value) is not Element or value.algebra.kind not in (LOOP, OMEGA):
+                raise DomainError("theta(...) expects a loop or omega class")
+            return theta_star(value.algebra)(value)
         if fn in STRUCTURE_MAPS:
             make_map, source = STRUCTURE_MAPS[fn]
+            n, ring = self.space.n, self.space.ring
             return make_map(n, ring)(self._element_in(args[0], source(n, ring), fn))
 
         # two-argument products on quotients
@@ -359,7 +338,7 @@ class Evaluator:
         if isinstance(rv, (int, Fraction)) and type(lv) is Element:
             rv = lv.algebra.unit() * rv
         if isinstance(lv, (int, Fraction)) and isinstance(rv, (int, Fraction)):
-            return _as_int(op(Fraction(lv), Fraction(rv)))
+            return _as_int(op(lv, rv))
         if type(lv) is type(rv) and isinstance(lv, Element):
             return op(lv, rv)
         raise DomainError(
@@ -422,7 +401,7 @@ def _kind_name(value) -> str:
 
 def evaluate(text: str, context: EvalContext):
     """Parse and evaluate in one step."""
-    return Evaluator(context).eval(parse(text))
+    return context.eval(parse(text))
 
 
 def format_value(value) -> str:

@@ -602,8 +602,11 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
             side = ">= 0" if bound < 0 else f"<= {SWEEP_BOUND}"
             raise DomainError(f"{flag} bound must be {side}, got {bound}")
     ns = tuple(ns) if ns else DEFAULT_NS
-    if len(set(ns)) < len(ns):
-        raise DomainError(f"each n may be given once, got n in {list(ns)}")
+    seen = set()
+    for n in ns:
+        if n in seen:
+            raise DomainError(f"each n may be given once, got n = {n} more than once")
+        seen.add(n)
     if len(ns) > MAX_NS:
         raise DomainError(f"at most {MAX_NS} distinct values of n may be given, got {len(ns)}")
     rings = tuple(rings) if rings else (RING_Q, RING_Z)

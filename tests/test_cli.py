@@ -277,9 +277,47 @@ def test_verify_refuses_a_repeated_n(capsys, ns) -> None:
     start = time.perf_counter()
     code, out, err = _run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
-    assert (code, out, err) == (2, "", f"error: each n may be given once, got n in [{', '.join(ns)}]\n")
+    assert (code, out, err) == (2, "", "error: each n may be given once, got n = 3 more than once\n")
     with pytest.raises(DomainError, match="each n may be given once"):
         verify.run("algebra", ns=[3, 4, 3])
+
+
+def test_verify_names_the_first_repeated_n_not_the_list() -> None:
+    with pytest.raises(DomainError) as info:
+        verify.run("all", ns=[3] * 20000)
+    assert str(info.value) == "each n may be given once, got n = 3 more than once"
+    with pytest.raises(DomainError, match="got n = 5 more than once"):
+        verify.run("algebra", ns=[3, 5, 4, 5, 3])
+
+
+@pytest.mark.parametrize("command", [("eval", "U"), ("betti",), ("verify", "all")])
+def test_an_argv_past_the_ceiling_is_refused_before_argparse(command) -> None:
+    # argparse's time grows with the square of the number of flags: 10,000 --n took seconds
+    result = subprocess.run(
+        [sys.executable, "-m", "loophom.cli", *command, *["--n", "3"] * 20000],
+        capture_output=True,
+        text=True,
+        timeout=1.0,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    count = len(command) + 40000
+    assert result.stderr == f"error: at most {cli.MAX_ARGV} command-line arguments may be given, got {count}\n"
+    assert len(result.stderr.encode()) < 200
+
+
+def test_the_longest_legitimate_argv_runs(capsys) -> None:
+    argv = ["verify", "algebra", "--ring", "Q", "--degree-bound", "0", "--power-bound", "0"]
+    for n in range(3, 3 + verify.MAX_NS):
+        argv += ["--n", str(n)]
+    assert len(argv) == 40
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith("checks passed")
+    at_ceiling = ["eval", "U"] + ["--n", "3"] * ((cli.MAX_ARGV - 2) // 2)
+    assert len(at_ceiling) == cli.MAX_ARGV
+    assert _run(capsys, *at_ceiling) == (0, "U\n", "")
+    past = (2, "", f"error: at most {cli.MAX_ARGV} command-line arguments may be given, got {cli.MAX_ARGV + 1}\n")
+    assert _run(capsys, *at_ceiling, "--ring=Q") == past
 
 
 def test_verify_refuses_more_distinct_ns_than_its_ceiling(capsys) -> None:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from loophom import (
     DomainError,
@@ -21,7 +23,7 @@ from loophom import (
     theta_group,
     values_equal,
 )
-from loophom.expr import MAX_NESTING, Bin, Call, Name, Neg, Num, Pow
+from loophom.expr import MAX_NESTING, Bin, Call, Name, Neg, Num, Pow, tokenize
 
 from exprgen import ExpressionSource
 
@@ -106,6 +108,45 @@ def test_numbers_are_ascii_digits_only() -> None:
         with pytest.raises(ExprSyntaxError) as info:
             parse(text)
         assert info.value.col == col
+
+
+def test_unicode_digits_and_numerals_start_no_name() -> None:
+    # '¹', 'Ⅻ' and '½' are str.isalnum (word characters) but not str.isalpha: a name starts with a letter or '_'
+    for text in ("¹", "Ⅻ", "½", "½U"):
+        with pytest.raises(ExprSyntaxError, match=f"unexpected character {text[0]!r}") as info:
+            parse(text)
+        assert (info.value.line, info.value.col) == (1, 1)
+    assert parse("a²") == Name("a²", 1, 1)
+    assert parse("_Ⅻ½") == Name("_Ⅻ½", 1, 1)
+
+
+def test_only_a_line_feed_starts_a_line() -> None:
+    # '\r', '\x0b', '\x1c' and NBSP are whitespace one column wide; str.splitlines would break at the first three
+    tokens = tokenize("U\r\n+\x0bA\x1c*\xa0U\r")
+    assert [(t.kind, t.line, t.col) for t in tokens] == [
+        ("NAME", 1, 1), ("+", 2, 1), ("NAME", 2, 3), ("*", 2, 5), ("NAME", 2, 7), ("END", 2, 9)
+    ]
+    with pytest.raises(ExprSyntaxError) as info:
+        parse("U +\xa0\x1c\n\x0b$")
+    assert (info.value.line, info.value.col) == (2, 2)
+
+
+_SCANNED = st.text(st.sampled_from(list("07aU_x²½Ⅻ٣é+-*^/(),$") + [" ", "\n", "\r", "\x0b", "\x1c", "\xa0"]))
+
+
+@given(_SCANNED | st.text())
+def test_each_token_and_error_points_at_its_own_text(text: str) -> None:
+    lines = text.split("\n")  # the lines the scanner counts
+    try:
+        tokens = tokenize(text)
+    except ExprSyntaxError as exc:
+        ch = lines[exc.line - 1][exc.col - 1]
+        assert str(exc).endswith(f"unexpected character {ch!r}") or "nested" in str(exc) and ch == "("
+        return
+    for tok in tokens[:-1]:
+        assert lines[tok.line - 1][tok.col - 1:].startswith(tok.text)
+    assert "".join(tok.text for tok in tokens) == "".join(ch for ch in text if not ch.isspace())
+    assert tokens[-1] == ("END", "", len(lines), len(lines[-1]) + 1)
 
 
 def test_long_literals_parse_exactly() -> None:

@@ -20,7 +20,7 @@ import sys
 from .core import DomainError, StructureError, int_from_digits
 from .equivariant import Subgroup, cyclic, dihedral, quotient, theta_group
 from .expr import EvalContext, ExprSyntaxError, evaluate, format_value
-from .spaces import BettiTable, make_space
+from .spaces import MAX_N_DIGITS, BettiTable, make_space
 from . import verify as verify_mod
 
 _GROUP_RE = re.compile(r"([CD])([0-9]+)")
@@ -42,9 +42,25 @@ def parse_group(text: str) -> Subgroup:
     return cyclic(size) if m.group(1) == "C" else dihedral(size)
 
 
+class _LongIntFlag(Exception):
+    """An integer flag's value past MAX_N_DIGITS characters.  Not a ValueError: argparse would print one with
+    its usage text and the whole value, and it lets any other exception through to `main`, which prints one line."""
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag's value, read by `int`, with argparse's own message for a bad one.  Past MAX_N_DIGITS
+    characters, where no flag has a valid value, it is refused without being echoed."""
+    if len(text) > MAX_N_DIGITS:
+        raise _LongIntFlag(f"an integer flag may have at most {MAX_N_DIGITS} characters, got {len(text)}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_context_flags(p: argparse.ArgumentParser):
     p.add_argument("--space", choices=("loop", "omega", "sphere"), default="loop")
-    p.add_argument("--n", type=int, required=True, help="sphere dimension")
+    p.add_argument("--n", type=_int_flag, required=True, help="sphere dimension")
     p.add_argument("--ring", choices=("Q", "Z"), default="Q")
     p.add_argument("--group", default=None, help="Cm, Dm, or theta")
     p.add_argument("--format", choices=("ascii", "json"), default="ascii")
@@ -65,18 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_betti = sub.add_parser("betti", help="emit a rank/torsion table")
     _add_context_flags(p_betti)
-    p_betti.add_argument("--max-degree", type=int, default=60)
+    p_betti.add_argument("--max-degree", type=_int_flag, default=60)
 
     p_verify = sub.add_parser("verify", help="run identity suites")
     p_verify.add_argument(
         "suite", help=f"one of {', '.join(verify_mod.SUITE_NAMES)}, or all"
     )
     p_verify.add_argument(
-        "--n", type=int, action="append", help="sphere dimension (repeatable)"
+        "--n", type=_int_flag, action="append", help="sphere dimension (repeatable)"
     )
     p_verify.add_argument("--ring", choices=("Q", "Z"), default=None)
-    p_verify.add_argument("--degree-bound", type=int, default=None)
-    p_verify.add_argument("--power-bound", type=int, default=None)
+    p_verify.add_argument("--degree-bound", type=_int_flag, default=None)
+    p_verify.add_argument("--power-bound", type=_int_flag, default=None)
 
     return parser
 
@@ -167,15 +183,14 @@ def main(argv=None) -> int:
     if len(argv) > MAX_ARGV:
         print(f"error: at most {MAX_ARGV} command-line arguments may be given, got {len(argv)}", file=sys.stderr)
         return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "eval":
             return cmd_eval(args)
         if args.command == "betti":
             return cmd_betti(args)
         return cmd_verify(args)
-    except (ExprSyntaxError, DomainError, StructureError) as exc:
+    except (ExprSyntaxError, DomainError, StructureError, _LongIntFlag) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

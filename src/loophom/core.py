@@ -75,8 +75,11 @@ class Algebra:
     mask, the least free exponent at which a monomial is zero or torsion.
 
     The class attribute `element` is the class of the elements it builds
-    (`Element`, set below it; a subclass may build a subclass).
+    (`Element`, set below it; a subclass may build a subclass), and `_factor`
+    the factor the product of two terms carries besides their coefficients.
     """
+
+    _factor = 1
 
     def __init__(
         self,
@@ -232,6 +235,34 @@ class Algebra:
                 out.pop(mono, None)
         return self.element(self, out)
 
+    def _term(self, mono: int, coeff) -> dict:
+        """The term map of one sum on a nonzero monomial, by `_reduce`'s coefficient rule, without its loop."""
+        if type(coeff) is not int:
+            coeff = self.scalar(coeff)
+        if mono >> self._k >= self._torsion_from[mono & self._nil]:
+            coeff %= 2
+        return {mono: coeff} if coeff else {}
+
+    def _term_product(self, left: dict, right: dict, factor=1) -> dict:
+        """The terms of `_reduce(_products(left, right, factor))` for two one-term maps, with no collecting pass.
+
+        `mul_monomials` still decides the nilpotent rule, then the zero rule applies, then `_term`.
+        """
+        ((m1, c1),) = left.items()
+        ((m2, c2),) = right.items()
+        mono = self.mul_monomials(m1, m2)
+        if mono is None or mono >> self._k >= self._zero_from[mono & self._nil]:
+            return {}
+        return self._term(mono, c1 * factor * c2)
+
+    def _power_monomial(self, mono: int, k: int):
+        """k*mono, the monomial of a term's k-th power, k >= 2 (exponents multiply by k, and so does the int),
+        or None when the power is zero: a nilpotent letter would square, or the zero rule applies."""
+        if self.mul_monomials(mono, mono) is None:
+            return None
+        mono *= k
+        return mono if mono >> self._k < self._zero_from[mono & self._nil] else None
+
     def _products(self, left: dict, right: dict, factor=1) -> dict:
         """The collected sums of factor*c1*c2 over the term pairs of two normal term maps, by product monomial.
 
@@ -369,6 +400,8 @@ class Element:
         if isinstance(other, Element):
             self._check_same(other)
             alg = self.algebra
+            if len(self.terms) == 1 == len(other.terms):
+                return alg.element(alg, alg._term_product(self.terms, other.terms))
             return alg._reduce(alg._products(self.terms, other.terms), {})
         if is_scalar(other):
             return self._scale(other)
@@ -445,13 +478,30 @@ POWER_WORK = 8 * POWER_BITS
 
 
 def power(base, k):
-    """base**k of a scalar or an `Element` by square-and-multiply: the unit for k = 0, else at most
-    2*log2(k) products, each checked first by `check_work`.  DomainError once a partial power has more
-    than POWER_TERMS terms or coefficients of more than POWER_BITS bits."""
+    """base**k of a scalar or an `Element`: the unit for k = 0, base itself for k = 1.
+
+    A scalar or a one-term element goes in closed form (`_term_power`), forming no product.  Any other
+    element goes by square-and-multiply, at most 2*log2(k) products, each checked first by `check_work`.
+    DomainError once a partial power has more than POWER_TERMS terms or coefficients of more than
+    POWER_BITS bits.  The closed form makes the checks the loop would make, with the same messages, and
+    refuses before computing when the coefficient's least possible size is already past POWER_BITS.
+    """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"exponent must be a natural number, got {_int_str(k) if type(k) is int else repr(k)}")
     what = f"a power with exponent {_int_str(k)}"
-    out = (base.algebra.unit() if isinstance(base, Element) else 1) if k == 0 else base
+    if k < 2:
+        return base if k else (base.algebra.unit() if isinstance(base, Element) else 1)
+    if not isinstance(base, Element) or len(base.terms) == 1:
+        # the loop's first square, and its first multiply when k's second bit is 1, are checked as the loop
+        # checks them; after them its partial powers hold at most POWER_BITS bits, so no later check can fail
+        check_work(base, base, what)
+        if bin(k)[3] == "1":
+            check_work(_term_power(base, 2), base, what)
+        out = _term_power(base, k, what)
+        if _bits(_coefficients(out)) > POWER_BITS:
+            raise DomainError(f"{what} has coefficients of more than {POWER_BITS} bits in all")
+        return out
+    out = base
     for bit in bin(k)[3:]:
         check_work(out, out, what)
         out = out * out
@@ -464,6 +514,30 @@ def power(base, k):
         if _bits(coefficients) > POWER_BITS:
             raise DomainError(f"{what} has coefficients of more than {POWER_BITS} bits in all")
     return out
+
+
+def _term_power(base, k: int, what: str = ""):
+    """base**k, k >= 2, for a scalar or a one-term element, in closed form.
+
+    A scalar c gives c**k, which `Fraction.__pow__` forms with no gcd.  An element c*m of an algebra with
+    product factor f gives (c*f)**k / f = c**k * f**(k-1) on `_power_monomial(m, k)`, or 0 when that is
+    None, with the coefficient rule of `Algebra._term`.  Given `what`, a nonzero power whose coefficient
+    must hold more than POWER_BITS bits is refused, naming `what`, before it is computed.
+    """
+    if isinstance(base, Element):
+        alg = base.algebra
+        ((mono, coeff),) = base.terms.items()
+        mono = alg._power_monomial(mono, k)
+        if mono is None:
+            return alg.zero()
+        factor = alg._factor
+    else:
+        coeff, factor = base, 1
+    # the coefficient (coeff*factor)**k / factor has at least k*(bits - 1) + 1 - bits(factor) bits
+    if what and k * (_bits((coeff * factor,)) - 1) >= POWER_BITS + factor.bit_length():
+        raise DomainError(f"{what} has coefficients of more than {POWER_BITS} bits in all")
+    coeff = coeff**k if factor == 1 else Fraction((coeff * factor) ** k) / factor
+    return alg.element(alg, alg._term(mono, coeff)) if isinstance(base, Element) else coeff
 
 
 def check_work(x, y, what: str) -> None:

@@ -176,6 +176,7 @@ class Quotient(Algebra):
         self.unit_name = f"q({space.unit_name})"
         self.space = space
         self.group = group
+        self._factor = group.order**2  # P_G(a, b) = |G|^2 q_*(a * b)
         self._theta = theta_star(space)
         self._sign = reversal_sign(space)
 
@@ -212,6 +213,17 @@ class Quotient(Algebra):
         element is invariant exactly when each of its monomials is.
         """
         return not self.group.reflections or self._sign(mono) == 1
+
+    def _power_monomial(self, mono: int, k: int):
+        """`Algebra._power_monomial`, or None when a partial power j*mono, 2 <= j <= k, is not fixed.
+
+        P drops an unfixed product, so every later power is 0 too.  A reversal sign depends on each
+        exponent mod 4 (`maps.reversal_sign`), so the partial powers up to j = 4 decide.
+        """
+        out = super()._power_monomial(mono, k)
+        if out is None or not all(self._fixes(j * mono) for j in range(2, min(k, 4) + 1)):
+            return None
+        return out
 
     # -- the two structure maps ------------------------------------------
 
@@ -256,13 +268,17 @@ class Quotient(Algebra):
         """P_G(a, b) = q_*(tr(a) * tr(b)) = |G|^2 q_*(a * b), in one pass over the term pairs.
 
         The sums |G|^2 c1 c2 are collected by product monomial, the unfixed monomials dropped (they
-        are the kernel of q_*), and the rest reduced once; no covering-space element is built.
+        are the kernel of q_*), and the rest reduced once; no covering-space element is built.  Two
+        one-term classes skip the collecting pass (`Algebra._term_product`).
         """
         if not isinstance(a, QElement) or not isinstance(b, QElement):
             raise StructureError("transfer product expects quotient classes")
         if a.algebra is not self or b.algebra is not self:
             raise StructureError("transfer product arguments live on different quotients")
-        acc = self._products(a.terms, b.terms, self.group.order**2)
+        if len(a.terms) == 1 == len(b.terms):
+            terms = self._term_product(a.terms, b.terms, self._factor)
+            return QElement(self, terms if all(map(self._fixes, terms)) else {})
+        acc = self._products(a.terms, b.terms, self._factor)
         if self.group.reflections:
             sign = self._sign
             acc = {m: c for m, c in acc.items() if sign(m) == 1}

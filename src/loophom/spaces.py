@@ -46,6 +46,9 @@ SPHERE = "sphere"
 
 #: largest `max_degree` of a table; loop n=3 takes about 2 s there
 MAX_TABLE_DEGREE = 100_000
+#: most decimal digits of n: labels, reports and messages print n and small multiples of it, and Python
+#: converts no int of more than 4300 digits to a string
+MAX_N_DIGITS = 4000
 
 
 class Space(Algebra):
@@ -145,9 +148,15 @@ class BettiTable(namedtuple("BettiTable", "space n ring group max_degree rows"))
         return self._row(degree).torsion
 
 
+def _check_digits(n: int) -> None:
+    if abs(n) >= 10**MAX_N_DIGITS:
+        raise DomainError(f"n must have at most {MAX_N_DIGITS} digits")
+
+
 @functools.lru_cache(maxsize=None)
 def loop_space(n: int, ring: str) -> Space:
     """Free loop space homology of S^n with the loop product."""
+    _check_digits(n)
     if n % 2:
         if n < 3:
             raise DomainError(f"odd n must be >= 3, got {n}")
@@ -179,6 +188,7 @@ def loop_space(n: int, ring: str) -> Space:
 @functools.lru_cache(maxsize=None)
 def based_loop_space(n: int, ring: str) -> Space:
     """Based loop space homology of S^n: the Pontrjagin ring Z[x], |x|=n-1."""
+    _check_digits(n)
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     gens = (Generator("x", shifted=n - 1, theta_sign=-1),)
@@ -188,6 +198,7 @@ def based_loop_space(n: int, ring: str) -> Space:
 @functools.lru_cache(maxsize=None)
 def sphere_space(n: int, ring: str) -> Space:
     """Homology of S^n with the intersection product."""
+    _check_digits(n)
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     gens = (Generator("pt", shifted=-n, nilpotent=True, theta_sign=1),)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice, repeat
 
-from .core import DomainError, Element, RING_Q, RING_Z
+from .core import DomainError, Element, RING_Q, RING_Z, _int_str
 from .equivariant import (
     QElement,
     a_product,
@@ -139,13 +139,22 @@ def _pairs(items, bound: int, others=None):
 
 
 def _triples(items, bound: int):
-    """(x, y, z, x * y) with degrees summing to <= bound; x * y is formed once per pair."""
-    for dx, x, dy, y in _pairs(items, bound):
-        xy = x * y
-        for dz, z in items:
-            if dx + dy + dz > bound:
+    """ix + iy + iz for items whose degrees sum to <= bound, in `_pairs` order and then iz's."""
+    for ix in items:
+        for iy in items:
+            if ix[0] + iy[0] > bound:
                 break
-            yield x, y, z, xy
+            for iz in items:
+                if ix[0] + iy[0] + iz[0] > bound:
+                    break
+                yield ix + iy + iz
+
+
+def _table(items, bound: int, product):
+    """(items with their indices, {(i, j): product(x_i, x_j)}) for (degree, class) items and the pairs whose
+    degrees sum to <= bound: each pair product is formed once, in `_pairs` order, for every check that reads it."""
+    indexed = [(d, x, i) for i, (d, x) in enumerate(items)]
+    return indexed, {(i, j): product(x, y) for dx, x, i, dy, y, j in _pairs(indexed, bound)}
 
 
 def _powers(x, k_max: int):
@@ -172,17 +181,20 @@ def suite_algebra(n, rings, D, K):
             unit = space.unit()
             checks.append(_check(f"{tag}: unit is two-sided on degrees <= {D}", ms,
                                  lambda d, u: (u * unit != u or unit * u != u) and f"u={u}"))
+            items, uv = _table(ms, D, operator.mul)
             if space.kind == "omega":
                 # genuinely commutative polynomial ring
-                checks.append(_check(f"{tag}: commutativity on basis pairs, total degree <= {D}", _pairs(ms, D),
-                                     lambda du, u, dv, v: u * v != v * u and f"u={u}, v={v}"))
+                checks.append(_check(f"{tag}: commutativity on basis pairs, total degree <= {D}", _pairs(items, D),
+                                     lambda du, u, i, dv, v, j: uv[i, j] != uv[j, i] and f"u={u}, v={v}"))
             else:
                 checks.append(_check(
-                    f"{tag}: v*u = (-1)^((deg u - n)(deg v - n)) u*v, total degree <= {D}", _pairs(ms, D),
-                    lambda du, u, dv, v: v * u != _sign((du - n) * (dv - n)) * (u * v) and f"u={u}, v={v}"))
+                    f"{tag}: v*u = (-1)^((deg u - n)(deg v - n)) u*v, total degree <= {D}", _pairs(items, D),
+                    lambda du, u, i, dv, v, j: uv[j, i] != _sign((du - n) * (dv - n)) * uv[i, j]
+                    and f"u={u}, v={v}"))
+            # d_j + d_k <= D on every triple, so uv holds v*w too
             checks.append(_check(
-                f"{tag}: (u*v)*w = u*(v*w) on basis triples, total degree <= {D}", _triples(ms, D),
-                lambda u, v, w, uv: uv * w != u * (v * w) and f"u={u}, v={v}, w={w}"))
+                f"{tag}: (u*v)*w = u*(v*w) on basis triples, total degree <= {D}", _triples(items, D),
+                lambda du, u, i, dv, v, j, dw, w, k: uv[i, j] * w != u * uv[j, k] and f"u={u}, v={v}, w={w}"))
 
     # torsion lives exactly in degrees 2r(n-1), and only over Z, n even
     if RING_Z in rings:
@@ -274,9 +286,10 @@ def suite_maps(n, rings, D, K):
 
         ms = _graded(loop, D)
         images = [(d, u, th(u), ev(u)) for d, u in ms]  # each class with its theta and ev images
-        checks.append(_check(f"{loop.label}: theta(u*v) = theta(u)*theta(v), total degree <= {D}", _pairs(images, D),
-                             lambda du, u, th_u, ev_u, dv, v, th_v, ev_v: th(u * v) != th_u * th_v
-                             and f"u={u}, v={v}"))
+        # each pair with u*v, formed once for the two checks that read it
+        uvs = [(u, th_u, ev_u, v, th_v, ev_v, u * v) for du, u, th_u, ev_u, dv, v, th_v, ev_v in _pairs(images, D)]
+        checks.append(_check(f"{loop.label}: theta(u*v) = theta(u)*theta(v), total degree <= {D}", uvs,
+                             lambda u, th_u, ev_u, v, th_v, ev_v, uv: th(uv) != th_u * th_v and f"u={u}, v={v}"))
 
         theta_cls = loop.generator("Theta")
         want = theta_cls if (n - 1) % 2 == 0 else -theta_cls
@@ -308,9 +321,8 @@ def suite_maps(n, rings, D, K):
             powers[: REVERSAL_POWER_BOUND + 1], sign_fails))
 
         # evaluation at the basepoint is an algebra map
-        checks.append(_check(f"{loop.label}: ev(u*v) = ev(u).ev(v), total degree <= {D}", _pairs(images, D),
-                             lambda du, u, th_u, ev_u, dv, v, th_v, ev_v: ev(u * v) != ev_u * ev_v
-                             and f"u={u}, v={v}"))
+        checks.append(_check(f"{loop.label}: ev(u*v) = ev(u).ev(v), total degree <= {D}", uvs,
+                             lambda u, th_u, ev_u, v, th_v, ev_v, uv: ev(uv) != ev_u * ev_v and f"u={u}, v={v}"))
         ok = ev(loop.generator("A")) == sphere.generator("pt") and ev(loop.unit()) == sphere.unit()
         checks.append(Check(f"{loop.label}: ev(A) = pt, ev(E) = fundamental", ok, ""))
     return checks
@@ -360,6 +372,8 @@ def suite_transfer(n, rings, D, K):
         scale = Fraction(1, order**2)
         tag = f"LS^{n}/{group.label}"
         qms = [(d, a, a.rep, q.transfer(a)) for d, a in _graded(q, D)]  # each class with its rep and tr
+        # each pair with tr(a)*tr(b), formed once for the two checks that read it
+        trs = [(a, x, b, y, ta * tb) for da, a, x, ta, db, b, y, tb in _pairs(qms, D)]
         checks += [
             _check(f"{tag}: q(tr(a)) = |G|*a on degrees <= {D}", qms,
                    lambda d, a, z, ta: q.project(ta) != order * a and f"a={a}"),
@@ -367,13 +381,11 @@ def suite_transfer(n, rings, D, K):
                    lambda d, z: q.transfer(q.project(z)) != q.action_sum(z) and f"z={z}"),
             _check(f"{tag}: q is injective on invariants (projection fixes them), degrees <= {D}", qms,
                    lambda d, a, z, ta: q.project(z) != a and f"z={z}"),
-            _check(f"{tag}: tr(P(a,b)) = |G|*tr(a)*tr(b), total degree <= {D}", _pairs(qms, D),
-                   lambda da, a, x, ta, db, b, y, tb: q.transfer(q.product(a, b)) != order * (ta * tb)
-                   and f"a={a}, b={b}"),
+            _check(f"{tag}: tr(P(a,b)) = |G|*tr(a)*tr(b), total degree <= {D}", trs,
+                   lambda a, x, b, y, ta_tb: q.transfer(q.product(a, b)) != order * ta_tb and f"a={a}, b={b}"),
             # the right side through the definition P = q(tr(a)*tr(b)), not `product`'s closed form
-            _check(f"{tag}: q(x*y) = |G|^-2 P(q(x),q(y)) for invariant x,y, total degree <= {D}", _pairs(qms, D),
-                   lambda da, a, x, ta, db, b, y, tb: q.project(x * y) != scale * q.project(ta * tb)
-                   and f"x={x}, y={y}"),
+            _check(f"{tag}: q(x*y) = |G|^-2 P(q(x),q(y)) for invariant x,y, total degree <= {D}", trs,
+                   lambda a, x, b, y, ta_tb: q.project(x * y) != scale * q.project(ta_tb) and f"x={x}, y={y}"),
         ]
         if not group.reflections:
             checks.append(_check(f"{tag}: rotations leave every class invariant, degrees <= {D}",
@@ -389,9 +401,11 @@ def suite_transfer(n, rings, D, K):
     pairs = [(x, y, (scale_1 * base.product(base.project(x), base.project(y))).rep)
              for dx, x, dy, y in _pairs(qms, pair_bound)]
 
+    dihedrals = {m: (quotient(loop, dihedral(m)), Fraction(1, dihedral(m).order ** 2)) for m in range(2, 6)}
+
     def unscaled_fails(m, x, y, lhs):
-        qm = quotient(loop, dihedral(m))
-        rhs = (Fraction(1, dihedral(m).order ** 2) * qm.product(qm.project(x), qm.project(y))).rep
+        qm, scale_m = dihedrals[m]
+        rhs = (scale_m * qm.product(qm.project(x), qm.project(y))).rep
         return lhs != rhs and f"m={m}, x={x}, y={y}"
 
     checks.append(_check(
@@ -409,14 +423,15 @@ def suite_quotient_product(n, rings, D, K):
         tag = f"LS^{n}/{group.label}"
         qms = _graded(q, D)
         e = q.unit()
+        items, ab = _table(qms, D, q.product)
         checks += [
             _check(f"{tag}: P(e,a) = a = P(a,e) on degrees <= {D}", qms,
                    lambda d, a: (q.product(e, a) != a or q.product(a, e) != a) and f"a={a}"),
-            _check(f"{tag}: P(b,a) = (-1)^((deg a - n)(deg b - n)) P(a,b), total degree <= {D}", _pairs(qms, D),
-                   lambda da, a, db, b: q.product(b, a) != _sign((da - n) * (db - n)) * q.product(a, b)
-                   and f"a={a}, b={b}"),
-            _check(f"{tag}: P(P(a,b),c) = P(a,P(b,c)), total degree <= {D}", _triples(qms, D),
-                   lambda a, b, c, ab: q.product(ab, c) != q.product(a, q.product(b, c)) and f"a={a}, b={b}, c={c}"),
+            _check(f"{tag}: P(b,a) = (-1)^((deg a - n)(deg b - n)) P(a,b), total degree <= {D}", _pairs(items, D),
+                   lambda da, a, i, db, b, j: ab[j, i] != _sign((da - n) * (db - n)) * ab[i, j] and f"a={a}, b={b}"),
+            _check(f"{tag}: P(P(a,b),c) = P(a,P(b,c)), total degree <= {D}", _triples(items, D),
+                   lambda da, a, i, db, b, j, dc, c, k: q.product(ab[i, j], c) != q.product(a, ab[j, k])
+                   and f"a={a}, b={b}, c={c}"),
         ]
     return checks
 
@@ -546,16 +561,16 @@ def suite_quotient_homs(n, rings, D, K):
         return qo.project(jb(q.transfer(a))) * inv_order
 
     qms = [(d, a, ev_quot(a), j_quot(a)) for d, a in _graded(q, D)]  # each class with its ev/G and j/G
+    # each pair with P(a,b), formed once for the two checks that read it
+    pab = [(a, ev_a, j_a, b, ev_b, j_b, q.product(a, b)) for da, a, ev_a, j_a, db, b, ev_b, j_b in _pairs(qms, D)]
     tag = f"LS^{n}/D1"
     checks = [
-        _check(f"{tag}: (ev/G)(P(a,b)) = |G|^2 (ev/G)(a).(ev/G)(b), total degree <= {D}", _pairs(qms, D),
-               lambda da, a, ev_a, j_a, db, b, ev_b, j_b: ev_quot(q.product(a, b)) != order**2 * (ev_a * ev_b)
-               and f"a={a}, b={b}"),
+        _check(f"{tag}: (ev/G)(P(a,b)) = |G|^2 (ev/G)(a).(ev/G)(b), total degree <= {D}", pab,
+               lambda a, ev_a, j_a, b, ev_b, j_b, p: ev_quot(p) != order**2 * (ev_a * ev_b) and f"a={a}, b={b}"),
         Check(f"{tag}: (ev/G)(e) = fundamental/|G|^2",
               ev_quot(q.unit()) == sphere_space(n, RING_Q).unit() / order**2),
-        _check(f"{tag}: (j/G)(P(a,b)) = POmega((j/G)(a),(j/G)(b)), total degree <= {D}", _pairs(qms, D),
-               lambda da, a, ev_a, j_a, db, b, ev_b, j_b: j_quot(q.product(a, b)) != qo.product(j_a, j_b)
-               and f"a={a}, b={b}"),
+        _check(f"{tag}: (j/G)(P(a,b)) = POmega((j/G)(a),(j/G)(b)), total degree <= {D}", pab,
+               lambda a, ev_a, j_a, b, ev_b, j_b, p: j_quot(p) != qo.product(j_a, j_b) and f"a={a}, b={b}"),
         Check(f"{tag}: (j/G)(e) is the based transfer unit", j_quot(q.unit()) == qo.unit()),
     ]
 
@@ -605,7 +620,7 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
     seen = set()
     for n in ns:
         if n in seen:
-            raise DomainError(f"each n may be given once, got n = {n} more than once")
+            raise DomainError(f"each n may be given once, got n = {_int_str(n)} more than once")
         seen.add(n)
     if len(ns) > MAX_NS:
         raise DomainError(f"at most {MAX_NS} distinct values of n may be given, got {len(ns)}")

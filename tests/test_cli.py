@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from loophom import DomainError, based_loop_space, cli, cyclic, dihedral, loop_space, verify
+from loophom import DomainError, based_loop_space, cli, cyclic, dihedral, loop_space, sphere_space, verify
 from loophom.core import POWER_BITS, POWER_TERMS, POWER_WORK
 from loophom.expr import MAX_NESTING, MAX_PRODUCT_PAIRS, EvalContext, evaluate
+from loophom.spaces import MAX_N_DIGITS
 
 from oracles import decimal_value
 
@@ -359,6 +360,48 @@ def test_verify_refuses_a_bad_n_before_any_suite_runs() -> None:
     assert out.startswith("verify algebra: n in [2]")
 
 
+@pytest.mark.parametrize("n", [10**5000, -(10**5000), 10**MAX_N_DIGITS], ids=["10^5000", "-10^5000", "10^MAX_N_DIGITS"])
+def test_an_n_past_the_digit_ceiling_is_a_domain_error(n: int) -> None:
+    # past 4300 digits, Python converts no int to a string: a label formatting n raised ValueError
+    for make in (loop_space, based_loop_space, sphere_space):
+        with pytest.raises(DomainError) as info:
+            make(n, "Q")
+        assert str(info.value) == f"n must have at most {MAX_N_DIGITS} digits"
+    for suite in ("algebra", "all"):
+        with pytest.raises(DomainError, match=f"^n must have at most {MAX_N_DIGITS} digits$"):
+            verify.run(suite, ns=[n], degree_bound=0)
+    with pytest.raises(DomainError, match="^each n may be given once, got n = [-0-9]+ more than once$"):
+        verify.run("algebra", ns=[n, n], degree_bound=0)
+
+
+def test_an_n_at_the_digit_ceiling_answers() -> None:
+    n = 10**MAX_N_DIGITS - 1
+    assert loop_space(n, "Q").label.endswith("99;Q)")
+    assert _loophom("eval", "U", "--n", str(n)) == (0, "U\n", "")
+    report = verify.run("all", ns=[n], degree_bound=2, power_bound=2)
+    assert report.passed and str(n) in report.render()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", "U", "--n"), ("betti", "--n"), ("betti", "--n", "3", "--max-degree"), ("verify", "all", "--n"),
+     ("verify", "all", "--degree-bound"), ("verify", "all", "--power-bound")],
+)
+def test_an_integer_flag_of_5000_digits_is_refused_in_one_short_line(argv) -> None:
+    # argparse echoed all 5,000 digits under its usage text, 5.2 KB of stderr
+    code, out, err = _loophom(*argv, "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err == f"error: an integer flag may have at most {MAX_N_DIGITS} characters, got 5000\n"
+    assert len(err.encode()) < 200
+
+
+def test_a_bad_integer_flag_keeps_argparse_message(capsys) -> None:
+    with pytest.raises(SystemExit) as info:
+        cli.main(["eval", "U", "--n", "abc"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("loophom eval: error: argument --n: invalid int value: 'abc'\n")
+
+
 def test_verify_report_reads_its_checks() -> None:
     report = verify.run("main-theorem", ns=[3], degree_bound=10, power_bound=5)
     assert report.title == "verify main-theorem: n in [3], rings ['Q', 'Z'], degree bound 10"
@@ -585,6 +628,26 @@ def test_eval_prints_a_product_of_big_powers_fast() -> None:
             leading = str(decimal.Decimal(2) ** (1048000 * factors)).replace(".", "")[:30]
         assert out[:30] == leading
         assert out[-31:] == str(pow(2, 1048000 * factors, 10**30)).zfill(30) + "\n"
+
+
+@pytest.mark.parametrize("expression,suffix", [("(2/3)^600000", ""), ("(2/3*U)^600000", "*U^600000")])
+def test_eval_one_term_fraction_powers_are_fast(expression: str, suffix: str) -> None:
+    # in closed form, Fraction.__pow__ runs no gcd; square-and-multiply ran one per product, 0.7 s in all
+    result = subprocess.run(
+        [sys.executable, "-m", "loophom.cli", "eval", expression, "--n", "3"],
+        capture_output=True,
+        text=True,
+        timeout=2.0,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.endswith(suffix + "\n")
+    for digits, base in zip(result.stdout[: -len(suffix) - 1].split("/"), (2, 3)):
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax = 40, decimal.MAX_EMAX
+            value = decimal.Decimal(base) ** 600000
+        assert len(digits) == value.adjusted() + 1
+        assert digits[:30] == str(value).replace(".", "")[:30]
+        assert digits[-30:] == str(pow(base, 600000, 10**30)).zfill(30)
 
 
 @pytest.mark.parametrize("text", ["U^²", "5¹"])

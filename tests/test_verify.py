@@ -1,9 +1,9 @@
-"""Seeded faults: each pair check that reads a per-class image made once per class still compares two sides
-computed apart, so a wrong map or transfer makes it fail with a counterexample."""
+"""Seeded faults: each pair check that reads a per-class image, or a pair product, made once still compares two
+sides computed apart, so a wrong map, transfer or product makes it fail with a counterexample."""
 
 from __future__ import annotations
 
-from loophom import equivariant, verify
+from loophom import core, equivariant, verify
 
 
 def _failed(report, label_start: str) -> list:
@@ -56,3 +56,61 @@ def test_a_wrong_gysin_image_fails_multiplicativity(monkeypatch) -> None:
     failed = _failed(report, "j!(u*v) = j!(u).j!(v)")
     assert failed and failed[0].detail
 
+
+
+def test_a_product_wrong_on_one_order_of_the_pair_fails_graded_commutativity(monkeypatch) -> None:
+    # odd*odd products vanish for n = 3, so the fault must reach the even ones too: it negates u*v whenever
+    # u's monomial int is larger than v's, for every pair of one-term classes
+    mul = core.Element.__mul__
+
+    def wrong(self, other):
+        out = mul(self, other)
+        one_term_each = isinstance(other, core.Element) and len(self.terms) == 1 == len(other.terms)
+        return -out if one_term_each and min(self.terms) > min(other.terms) else out
+
+    monkeypatch.setattr(core.Element, "__mul__", wrong)
+    report = verify.run("algebra", ns=[3], rings=["Q"], degree_bound=12)
+    failed = [c for c in _failed(report, "v*u = (-1)^((deg u - n)(deg v - n)) u*v") if c.label.startswith("H(LS^3;Q)")]
+    assert failed and failed[0].detail
+
+
+def test_a_product_wrong_on_high_left_degrees_fails_associativity(monkeypatch) -> None:
+    mul = core.Element.__mul__
+
+    def wrong(self, other):  # doubled when its left factor reaches past degree 2n
+        out = mul(self, other)
+        if isinstance(other, core.Element) and self.terms and max(self.degrees()) > 2 * self.algebra.n:
+            return out * 2
+        return out
+
+    monkeypatch.setattr(core.Element, "__mul__", wrong)
+    report = verify.run("algebra", ns=[3], rings=["Q"], degree_bound=12)
+    failed = [c for c in _failed(report, "(u*v)*w = u*(v*w)") if c.label.startswith("H(LS^3;Q)")]
+    assert failed and failed[0].detail
+
+
+def test_a_wrong_evaluation_fails_multiplicativity(monkeypatch) -> None:
+    ev_star = verify.ev_star
+
+    def make(n, ring):  # a linear map that also sends Theta to the point class: ev(U*U) = pt, ev(U).ev(U) = 0
+        ev = ev_star(n, ring)
+        theta, pt = next(iter(ev.source.named["Theta"].terms)), ev.target.named["pt"]
+        return lambda elt: ev(elt) + pt * elt.coefficient(theta)
+
+    monkeypatch.setattr(verify, "ev_star", make)
+    report = verify.run("maps", ns=[3], rings=["Q"], degree_bound=12)
+    failed = _failed(report, "ev(u*v) = ev(u).ev(v)")
+    assert failed and failed[0].detail
+
+
+def test_a_transfer_product_wrong_on_high_left_degrees_fails_associativity(monkeypatch) -> None:
+    product = equivariant.Quotient.product
+
+    def wrong(self, a, b):  # doubled when its left argument reaches past degree 2n
+        out = product(self, a, b)
+        return out * 2 if a and max(a.degrees()) > 2 * self.space.n else out
+
+    monkeypatch.setattr(equivariant.Quotient, "product", wrong)
+    report = verify.run("quotient-product", ns=[3], degree_bound=12)
+    failed = _failed(report, "P(P(a,b),c) = P(a,P(b,c))")
+    assert failed and all(c.detail for c in failed)

@@ -75,11 +75,8 @@ class Algebra:
     mask, the least free exponent at which a monomial is zero or torsion.
 
     The class attribute `element` is the class of the elements it builds
-    (`Element`, set below it; a subclass may build a subclass), and `_factor`
-    the factor the product of two terms carries besides their coefficients.
+    (`Element`, set below it; a subclass may build a subclass).
     """
-
-    _factor = 1
 
     def __init__(
         self,
@@ -235,25 +232,24 @@ class Algebra:
                 out.pop(mono, None)
         return self.element(self, out)
 
-    def _term(self, mono: int, coeff) -> dict:
-        """The term map of one sum on a nonzero monomial, by `_reduce`'s coefficient rule, without its loop."""
-        if type(coeff) is not int:
-            coeff = self.scalar(coeff)
-        if mono >> self._k >= self._torsion_from[mono & self._nil]:
-            coeff %= 2
-        return {mono: coeff} if coeff else {}
-
     def _term_product(self, left: dict, right: dict, factor=1) -> dict:
         """The terms of `_reduce(_products(left, right, factor))` for two one-term maps, with no collecting pass.
 
-        `mul_monomials` still decides the nilpotent rule, then the zero rule applies, then `_term`.
+        `mul_monomials` still decides the nilpotent rule, then the zero rule applies, then `_reduce`'s
+        coefficient rule, written out here for the one sum so that no call of `_reduce` is made.
         """
         ((m1, c1),) = left.items()
         ((m2, c2),) = right.items()
         mono = self.mul_monomials(m1, m2)
-        if mono is None or mono >> self._k >= self._zero_from[mono & self._nil]:
+        k, nil = self._k, self._nil
+        if mono is None or mono >> k >= self._zero_from[mono & nil]:
             return {}
-        return self._term(mono, c1 * factor * c2)
+        coeff = c1 * factor * c2
+        if type(coeff) is not int:
+            coeff = self.scalar(coeff)
+        if mono >> k >= self._torsion_from[mono & nil]:
+            coeff %= 2
+        return {mono: coeff} if coeff else {}
 
     def _power_monomial(self, mono: int, k: int):
         """k*mono, the monomial of a term's k-th power, k >= 2 (exponents multiply by k, and so does the int),
@@ -480,23 +476,28 @@ POWER_WORK = 8 * POWER_BITS
 def power(base, k):
     """base**k of a scalar or an `Element`: the unit for k = 0, base itself for k = 1.
 
-    A scalar or a one-term element goes in closed form (`_term_power`), forming no product.  Any other
-    element goes by square-and-multiply, at most 2*log2(k) products, each checked first by `check_work`.
-    DomainError once a partial power has more than POWER_TERMS terms or coefficients of more than
-    POWER_BITS bits.  The closed form makes the checks the loop would make, with the same messages, and
-    refuses before computing when the coefficient's least possible size is already past POWER_BITS.
+    A scalar or a one-term element of a space goes in closed form (`_term_power`), forming no product.
+    Any other element goes by square-and-multiply, at most 2*log2(k) products, each checked first by
+    `check_work`; so does a quotient class, whose powers are transfer products.  DomainError once a
+    partial power has more than POWER_TERMS terms or coefficients of more than POWER_BITS bits.  The
+    closed form makes the checks the loop would make, with the same messages, and refuses before
+    computing when the coefficient's least possible size is already past POWER_BITS.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"exponent must be a natural number, got {_int_str(k) if type(k) is int else repr(k)}")
     what = f"a power with exponent {_int_str(k)}"
     if k < 2:
         return base if k else (base.algebra.unit() if isinstance(base, Element) else 1)
-    if not isinstance(base, Element) or len(base.terms) == 1:
+    if not isinstance(base, Element) or (type(base) is Element and len(base.terms) == 1):
         # the loop's first square, and its first multiply when k's second bit is 1, are checked as the loop
         # checks them; after them its partial powers hold at most POWER_BITS bits, so no later check can fail
         check_work(base, base, what)
         if bin(k)[3] == "1":
-            check_work(_term_power(base, 2), base, what)
+            if isinstance(base, Element):
+                square = Element(base.algebra, base.algebra._term_product(base.terms, base.terms))
+            else:
+                square = base * base
+            check_work(square, base, what)
         out = _term_power(base, k, what)
         if _bits(_coefficients(out)) > POWER_BITS:
             raise DomainError(f"{what} has coefficients of more than {POWER_BITS} bits in all")
@@ -516,13 +517,13 @@ def power(base, k):
     return out
 
 
-def _term_power(base, k: int, what: str = ""):
-    """base**k, k >= 2, for a scalar or a one-term element, in closed form.
+def _term_power(base, k: int, what: str):
+    """base**k, k >= 2, for a scalar or a one-term element of a space, in closed form.
 
-    A scalar c gives c**k, which `Fraction.__pow__` forms with no gcd.  An element c*m of an algebra with
-    product factor f gives (c*f)**k / f = c**k * f**(k-1) on `_power_monomial(m, k)`, or 0 when that is
-    None, with the coefficient rule of `Algebra._term`.  Given `what`, a nonzero power whose coefficient
-    must hold more than POWER_BITS bits is refused, naming `what`, before it is computed.
+    The coefficient c gives c**k, which `Fraction.__pow__` forms with no gcd; an element c*m puts it on
+    `_power_monomial(m, k)`, or is 0 when that is None, and `_reduce` applies the coefficient rule.  A
+    power whose coefficient must hold more than POWER_BITS bits is refused, naming `what`, before it is
+    computed.
     """
     if isinstance(base, Element):
         alg = base.algebra
@@ -530,14 +531,11 @@ def _term_power(base, k: int, what: str = ""):
         mono = alg._power_monomial(mono, k)
         if mono is None:
             return alg.zero()
-        factor = alg._factor
     else:
-        coeff, factor = base, 1
-    # the coefficient (coeff*factor)**k / factor has at least k*(bits - 1) + 1 - bits(factor) bits
-    if what and k * (_bits((coeff * factor,)) - 1) >= POWER_BITS + factor.bit_length():
+        coeff = base
+    if k * (_bits((coeff,)) - 1) >= POWER_BITS:  # c**k has at least k*(bits(c) - 1) + 1 bits
         raise DomainError(f"{what} has coefficients of more than {POWER_BITS} bits in all")
-    coeff = coeff**k if factor == 1 else Fraction((coeff * factor) ** k) / factor
-    return alg.element(alg, alg._term(mono, coeff)) if isinstance(base, Element) else coeff
+    return alg._reduce({mono: coeff**k}, {}) if isinstance(base, Element) else coeff**k
 
 
 def check_work(x, y, what: str) -> None:

@@ -214,17 +214,6 @@ class Quotient(Algebra):
         """
         return not self.group.reflections or self._sign(mono) == 1
 
-    def _power_monomial(self, mono: int, k: int):
-        """`Algebra._power_monomial`, or None when a partial power j*mono, 2 <= j <= k, is not fixed.
-
-        P drops an unfixed product, so every later power is 0 too.  A reversal sign depends on each
-        exponent mod 4 (`maps.reversal_sign`), so the partial powers up to j = 4 decide.
-        """
-        out = super()._power_monomial(mono, k)
-        if out is None or not all(self._fixes(j * mono) for j in range(2, min(k, 4) + 1)):
-            return None
-        return out
-
     # -- the two structure maps ------------------------------------------
 
     def project(self, elt: Element) -> QElement:

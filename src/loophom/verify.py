@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice, repeat
 
-from .core import DomainError, Element, RING_Q, RING_Z, _int_str
+from .core import DomainError, Element, RING_Q, RING_Z
 from .equivariant import (
     QElement,
     a_product,
@@ -39,7 +39,7 @@ from .maps import (
     reversal_power_sign,
     theta_star,
 )
-from .spaces import based_loop_space, loop_space, sphere_space
+from .spaces import _check_digits, based_loop_space, loop_space, sphere_space
 
 DEFAULT_NS = (3, 4, 5, 6)
 PRODUCT_BOUND = 60
@@ -619,8 +619,9 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
     ns = tuple(ns) if ns else DEFAULT_NS
     seen = set()
     for n in ns:
+        _check_digits(n)  # before n is printed
         if n in seen:
-            raise DomainError(f"each n may be given once, got n = {_int_str(n)} more than once")
+            raise DomainError(f"each n may be given once, got n = {n} more than once")
         seen.add(n)
     if len(ns) > MAX_NS:
         raise DomainError(f"at most {MAX_NS} distinct values of n may be given, got {len(ns)}")

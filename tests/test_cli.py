@@ -370,7 +370,8 @@ def test_an_n_past_the_digit_ceiling_is_a_domain_error(n: int) -> None:
     for suite in ("algebra", "all"):
         with pytest.raises(DomainError, match=f"^n must have at most {MAX_N_DIGITS} digits$"):
             verify.run(suite, ns=[n], degree_bound=0)
-    with pytest.raises(DomainError, match="^each n may be given once, got n = [-0-9]+ more than once$"):
+    # the ceiling is checked before repeats, so a repeated n is never printed
+    with pytest.raises(DomainError, match=f"^n must have at most {MAX_N_DIGITS} digits$"):
         verify.run("algebra", ns=[n, n], degree_bound=0)
 
 

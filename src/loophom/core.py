@@ -26,6 +26,8 @@ ints, unless a nilpotent letter would square.  A Koszul sign (-1)^{p q} needs
 a letter of odd shifted degree p to move past one of odd shifted degree q; an
 `Algebra` has at most one odd letter (A for n odd, sigma1 for n even in
 H_*(LS^n)), and a letter never moves past itself, so no sign arises.
+`Algebra._multiply` forms every product, scaling by `_factor` and keeping the
+monomials `_keep` passes; only a quotient sets them (see `equivariant`).
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ class Algebra:
             torsion_rules = ()
         self._zero_from = [least_exponent(zero_rules, mask) for mask in masks]
         self._torsion_from = [least_exponent(torsion_rules, mask) for mask in masks]
+        # `_multiply`'s scale and the test its monomials must pass (None: all do); a `Quotient` sets its own
+        self._factor = 1
+        self._keep = None
 
     # ------------------------------------------------------------------
     # scalars
@@ -137,11 +142,11 @@ class Algebra:
                 return value.numerator
             if self.ring == RING_Q:
                 return value
-            raise DomainError(f"fractional coefficient {value} needs ring Q, not Z")
+            raise DomainError(f"fractional coefficient {_shown(value, str)} needs ring Q, not Z")
         if is_scalar(value):
             return value
         kind = "a rational" if self.ring == RING_Q else "an integer"
-        raise DomainError(f"cannot use {value!r} as {kind} coefficient")
+        raise DomainError(f"cannot use {_shown(value)} as {kind} coefficient")
 
     # ------------------------------------------------------------------
     # monomials
@@ -156,7 +161,7 @@ class Algebra:
             or any(type(e) is not int or e < 0 for e in exps)
             or any(e > 1 for e in exps[: self._k])
         ):
-            raise StructureError(f"{exps!r} is not an exponent vector of {self.label}")
+            raise StructureError(f"{_shown(exps)} is not an exponent vector of {self.label}")
         return sum(e << i for i, e in enumerate(exps))
 
     def exponents(self, mono: int) -> tuple:
@@ -203,7 +208,7 @@ class Algebra:
         acc: dict = {}
         for coeff, mono in terms:
             if type(mono) is not int or not 0 <= mono <= top:
-                raise StructureError(f"{mono!r} is not a monomial of {self.label}")
+                raise StructureError(f"{_shown(mono)} is not a monomial of {self.label}")
             if type(coeff) is not int:
                 coeff = self.scalar(coeff)
             if mono >> k < zero_from[mono & nil]:
@@ -232,40 +237,29 @@ class Algebra:
                 out.pop(mono, None)
         return self.element(self, out)
 
-    def _term_product(self, left: dict, right: dict, factor=1) -> dict:
-        """The terms of `_reduce(_products(left, right, factor))` for two one-term maps, with no collecting pass.
+    def _multiply(self, left: dict, right: dict) -> "Element":
+        """The product of two normal term maps: the one code that forms products, and that tests their term counts.
 
-        `mul_monomials` still decides the nilpotent rule, then the zero rule applies, then `_reduce`'s
-        coefficient rule, written out here for the one sum so that no call of `_reduce` is made.
+        Each term product is `_factor`*c1*c2 on the monomial of `mul_monomials` (the nilpotent rule), dropped by the
+        zero rule and by `_keep` when set (a quotient's kernel of q_*).  Two one-term maps finish their one term here,
+        with `_reduce`'s coefficient rule written out, so no collecting pass or `_reduce` call is made; any other
+        pair collects its sums by product monomial, and `_reduce` applies the coefficient rule.
         """
-        ((m1, c1),) = left.items()
-        ((m2, c2),) = right.items()
-        mono = self.mul_monomials(m1, m2)
-        k, nil = self._k, self._nil
-        if mono is None or mono >> k >= self._zero_from[mono & nil]:
-            return {}
-        coeff = c1 * factor * c2
-        if type(coeff) is not int:
-            coeff = self.scalar(coeff)
-        if mono >> k >= self._torsion_from[mono & nil]:
-            coeff %= 2
-        return {mono: coeff} if coeff else {}
-
-    def _power_monomial(self, mono: int, k: int):
-        """k*mono, the monomial of a term's k-th power, k >= 2 (exponents multiply by k, and so does the int),
-        or None when the power is zero: a nilpotent letter would square, or the zero rule applies."""
-        if self.mul_monomials(mono, mono) is None:
-            return None
-        mono *= k
-        return mono if mono >> self._k < self._zero_from[mono & self._nil] else None
-
-    def _products(self, left: dict, right: dict, factor=1) -> dict:
-        """The collected sums of factor*c1*c2 over the term pairs of two normal term maps, by product monomial.
-
-        Both are normal, so every product monomial is valid (`mul_monomials` refuses overlapping
-        nilpotent bits): only the zero rule applies here, and `_reduce` applies the coefficient rule.
-        """
+        if len(left) == 1 == len(right):
+            ((m1, c1),) = left.items()
+            ((m2, c2),) = right.items()
+            mono = self.mul_monomials(m1, m2)
+            k, nil, keep = self._k, self._nil, self._keep
+            if mono is None or mono >> k >= self._zero_from[mono & nil] or keep is not None and not keep(mono):
+                return self.element(self, {})
+            coeff = c1 * self._factor * c2
+            if type(coeff) is not int:
+                coeff = self.scalar(coeff)
+            if mono >> k >= self._torsion_from[mono & nil]:
+                coeff %= 2
+            return self.element(self, {mono: coeff} if coeff else {})
         mul, k, nil, zero_from = self.mul_monomials, self._k, self._nil, self._zero_from
+        factor, keep = self._factor, self._keep
         right = right.items()
         acc: dict = {}
         for m1, c1 in left.items():
@@ -274,7 +268,9 @@ class Algebra:
                 mono = mul(m1, m2)
                 if mono is not None and mono >> k < zero_from[mono & nil]:
                     acc[mono] = acc.get(mono, 0) + c1 * c2
-        return acc
+        if keep is not None:
+            acc = {m: c for m, c in acc.items() if keep(m)}
+        return self._reduce(acc, {})
 
     def zero(self) -> "Element":
         return self.element(self, {})
@@ -395,10 +391,7 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            alg = self.algebra
-            if len(self.terms) == 1 == len(other.terms):
-                return alg.element(alg, alg._term_product(self.terms, other.terms))
-            return alg._reduce(alg._products(self.terms, other.terms), {})
+            return self.algebra._multiply(self.terms, other.terms)
         if is_scalar(other):
             return self._scale(other)
         return NotImplemented
@@ -493,10 +486,7 @@ def power(base, k):
         # checks them; after them its partial powers hold at most POWER_BITS bits, so no later check can fail
         check_work(base, base, what)
         if bin(k)[3] == "1":
-            if isinstance(base, Element):
-                square = Element(base.algebra, base.algebra._term_product(base.terms, base.terms))
-            else:
-                square = base * base
+            square = base.algebra._multiply(base.terms, base.terms) if isinstance(base, Element) else base * base
             check_work(square, base, what)
         out = _term_power(base, k, what)
         if _bits(_coefficients(out)) > POWER_BITS:
@@ -521,15 +511,16 @@ def _term_power(base, k: int, what: str):
     """base**k, k >= 2, for a scalar or a one-term element of a space, in closed form.
 
     The coefficient c gives c**k, which `Fraction.__pow__` forms with no gcd; an element c*m puts it on
-    `_power_monomial(m, k)`, or is 0 when that is None, and `_reduce` applies the coefficient rule.  A
-    power whose coefficient must hold more than POWER_BITS bits is refused, naming `what`, before it is
-    computed.
+    k*m (exponents multiply by k, and so does the int), or is 0 when a nilpotent letter would square or
+    the zero rule applies to k*m, and `_reduce` applies the coefficient rule.  A power whose coefficient
+    must hold more than POWER_BITS bits is refused, naming `what`, before it is computed.
     """
     if isinstance(base, Element):
         alg = base.algebra
         ((mono, coeff),) = base.terms.items()
-        mono = alg._power_monomial(mono, k)
-        if mono is None:
+        square = alg.mul_monomials(mono, mono)  # None when a nilpotent letter would square
+        mono *= k
+        if square is None or mono >> alg._k >= alg._zero_from[mono & alg._nil]:
             return alg.zero()
     else:
         coeff = base
@@ -588,6 +579,21 @@ def _int_str(value: int) -> str:
         return context.add(context.multiply(convert(high, bits - half), powers[half]), convert(low, half))
 
     return str(convert(value, value.bit_length()))
+
+
+def _shown(value, show=repr) -> str:
+    """show(value), for a refusal to name a caller's value in one short line, when it has at most 100 characters;
+    past that, an int by its digit count and any other value by its type."""
+    if type(value) is int:
+        text = _int_str(value)
+        return text if len(text) <= 100 else f"an int of {len(text.lstrip('-'))} digits"
+    try:
+        text = show(value)
+        if len(text) <= 100:
+            return text
+    except ValueError:  # the value holds an int past the int->str digit limit
+        pass
+    return f"a {type(value).__name__} of more than 100 characters"
 
 
 def int_from_digits(digits: str) -> int:

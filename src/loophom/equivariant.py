@@ -36,11 +36,13 @@ transfer product, the quotient's product, has a closed form:
 
     P_G(a, b)  =  q_*( tr(a) * tr(b) )  =  |G|^2 . q_*(a * b).
 
-It is associative and graded-commutative with the sign rule of the loop
-product, and its unit is q_*(E) / |G|^2.  The q_* stays: a product of fixed
-monomials need not be fixed, since on the based algebra with n even theta_*
-is not multiplicative (x^3 is fixed, x^6 = x^3 * x^3 is negated).  The same
-construction on the based algebra gives the based transfer product
+So a quotient's product is its space's with two pieces of data, the scale
+|G|^2 and the kernel of q_* (`_factor` and `_keep`, which `Algebra._multiply`
+reads).  It is associative and graded-commutative with the sign rule of the
+loop product, and its unit is q_*(E) / |G|^2.  The q_* stays: a product of
+fixed monomials need not be fixed, since on the based algebra with n even
+theta_* is not multiplicative (x^3 is fixed, x^6 = x^3 * x^3 is negated).
+The same construction on the based algebra gives the based transfer product
 (``POmega`` in the CLI).
 
 Everything here requires ring Q: only rationally is quotient homology the
@@ -52,7 +54,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .core import RING_Q, Algebra, DomainError, Element, StructureError, _int_str, scalar_str
+from .core import RING_Q, Algebra, DomainError, Element, StructureError, _int_str, _shown, scalar_str
 from .maps import reversal_sign, theta_star
 from .spaces import LOOP, OMEGA, BettiTable, Space
 
@@ -69,7 +71,7 @@ class Subgroup:
 
     def __init__(self, m: int, reflections: bool, rotation=0):
         if type(m) is not int or m < 1:
-            raise DomainError(f"subgroup parameter m must be an int >= 1, got {m!r}")
+            raise DomainError(f"subgroup parameter m must be an int >= 1, got {_shown(m)}")
         rotation = Fraction(rotation) % Fraction(1, m) if reflections else Fraction(0)
         for name, value in zip(self.__slots__, (m, reflections, rotation)):
             object.__setattr__(self, name, value)
@@ -176,9 +178,11 @@ class Quotient(Algebra):
         self.unit_name = f"q({space.unit_name})"
         self.space = space
         self.group = group
-        self._factor = group.order**2  # P_G(a, b) = |G|^2 q_*(a * b)
+        self._factor = group.order**2  # P_G(a, b) = |G|^2 q_*(a * b); q_* kills what a reflection negates
+        if group.reflections:
+            sign = reversal_sign(space)
+            self._keep = lambda mono: sign(mono) == 1
         self._theta = theta_star(space)
-        self._sign = reversal_sign(space)
 
     def monomial_str(self, mono: int) -> str:
         return f"q({self.space.monomial_str(mono)})"
@@ -206,13 +210,13 @@ class Quotient(Algebra):
     invariants = basis
 
     def _fixes(self, mono: int) -> bool:
-        """Whether the group fixes a basis monomial.
+        """Whether the group fixes a basis monomial: `_keep`, the test every product term passes.
 
         Rotations act trivially and every reflection acts by theta_*, which
         is diagonal, +-1 on each basis monomial (`reversal_sign`); so an
         element is invariant exactly when each of its monomials is.
         """
-        return not self.group.reflections or self._sign(mono) == 1
+        return self._keep is None or self._keep(mono)
 
     # -- the two structure maps ------------------------------------------
 
@@ -226,10 +230,9 @@ class Quotient(Algebra):
         """
         if elt.algebra is not self.space:
             raise StructureError(f"q expects an element of {self.space.label}")
-        terms = elt.terms  # every monomial is fixed without reflections, and terms are never changed in place
-        if self.group.reflections:
-            sign = self._sign
-            terms = {m: c for m, c in terms.items() if sign(m) == 1}
+        terms, keep = elt.terms, self._keep  # None: every monomial is fixed, and terms are never changed in place
+        if keep is not None:
+            terms = {m: c for m, c in terms.items() if keep(m)}
         return QElement(self, terms)
 
     def transfer(self, a: QElement) -> Element:
@@ -254,24 +257,13 @@ class Quotient(Algebra):
     # -- the transfer product --------------------------------------------
 
     def product(self, a: QElement, b: QElement) -> QElement:
-        """P_G(a, b) = q_*(tr(a) * tr(b)) = |G|^2 q_*(a * b), in one pass over the term pairs.
-
-        The sums |G|^2 c1 c2 are collected by product monomial, the unfixed monomials dropped (they
-        are the kernel of q_*), and the rest reduced once; no covering-space element is built.  Two
-        one-term classes skip the collecting pass (`Algebra._term_product`).
-        """
+        """P_G(a, b) = q_*(tr(a) * tr(b)) = |G|^2 q_*(a * b): the space's product under this quotient's `_factor`
+        and `_keep`, formed by `Algebra._multiply` in one pass that builds no covering-space element."""
         if not isinstance(a, QElement) or not isinstance(b, QElement):
             raise StructureError("transfer product expects quotient classes")
         if a.algebra is not self or b.algebra is not self:
             raise StructureError("transfer product arguments live on different quotients")
-        if len(a.terms) == 1 == len(b.terms):
-            terms = self._term_product(a.terms, b.terms, self._factor)
-            return QElement(self, terms if all(map(self._fixes, terms)) else {})
-        acc = self._products(a.terms, b.terms, self._factor)
-        if self.group.reflections:
-            sign = self._sign
-            acc = {m: c for m, c in acc.items() if sign(m) == 1}
-        return self._reduce(acc, {})
+        return self._multiply(a.terms, b.terms)
 
     def betti(self, max_degree: int) -> BettiTable:
         return self.space.table(max_degree, self)

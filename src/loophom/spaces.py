@@ -38,6 +38,7 @@ from .core import (
     DomainError,
     Element,
     Generator,
+    _shown,
 )
 
 LOOP = "loop"
@@ -111,7 +112,7 @@ class Space(Algebra):
         any; a quotient's table carries its group's label.
         """
         if not 0 <= max_degree <= MAX_TABLE_DEGREE:
-            raise DomainError(f"max_degree must be in 0..{MAX_TABLE_DEGREE}, got {max_degree}")
+            raise DomainError(f"max_degree must be in 0..{MAX_TABLE_DEGREE}, got {_shown(max_degree)}")
         rows = []
         for d in range(max_degree + 1):
             free, torsion = alg.graded_piece(d)
@@ -159,7 +160,7 @@ def loop_space(n: int, ring: str) -> Space:
     _check_digits(n)
     if n % 2:
         if n < 3:
-            raise DomainError(f"odd n must be >= 3, got {n}")
+            raise DomainError(f"odd n must be >= 3, got {_shown(n)}")
         gens = (
             Generator("A", shifted=-n, nilpotent=True, theta_sign=1),
             Generator("U", shifted=n - 1, theta_sign=-1),
@@ -168,7 +169,7 @@ def loop_space(n: int, ring: str) -> Space:
         letters = {"A": (1, 0), "U": (0, 1), "sigma1": (1, 1), "Theta": (0, 2)}
     else:
         if n < 2:
-            raise DomainError(f"even n must be >= 2, got {n}")
+            raise DomainError(f"even n must be >= 2, got {_shown(n)}")
         gens = (
             Generator("sigma1", shifted=-1, nilpotent=True, theta_sign=-1),
             Generator("A", shifted=-n, nilpotent=True, theta_sign=1),
@@ -190,7 +191,7 @@ def based_loop_space(n: int, ring: str) -> Space:
     """Based loop space homology of S^n: the Pontrjagin ring Z[x], |x|=n-1."""
     _check_digits(n)
     if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+        raise DomainError(f"n must be >= 2, got {_shown(n)}")
     gens = (Generator("x", shifted=n - 1, theta_sign=-1),)
     return Space(OMEGA, n, {"x": (1,)}, label=f"H(OS^{n};{ring})", ring=ring, generators=gens, shift=0)
 
@@ -200,7 +201,7 @@ def sphere_space(n: int, ring: str) -> Space:
     """Homology of S^n with the intersection product."""
     _check_digits(n)
     if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+        raise DomainError(f"n must be >= 2, got {_shown(n)}")
     gens = (Generator("pt", shifted=-n, nilpotent=True, theta_sign=1),)
     return Space(SPHERE, n, {"pt": (1,)}, label=f"H(S^{n};{ring})", ring=ring, generators=gens, shift=n,
                  unit_name="fundamental")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice, repeat
 
-from .core import DomainError, Element, RING_Q, RING_Z
+from .core import DomainError, Element, RING_Q, RING_Z, _shown
 from .equivariant import (
     QElement,
     a_product,
@@ -615,13 +615,13 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
     for flag, bound in (("degree", degree_bound), ("power", power_bound)):
         if bound is not None and not 0 <= bound <= SWEEP_BOUND:
             side = ">= 0" if bound < 0 else f"<= {SWEEP_BOUND}"
-            raise DomainError(f"{flag} bound must be {side}, got {bound}")
+            raise DomainError(f"{flag} bound must be {side}, got {_shown(bound)}")
     ns = tuple(ns) if ns else DEFAULT_NS
     seen = set()
     for n in ns:
         _check_digits(n)  # before n is printed
         if n in seen:
-            raise DomainError(f"each n may be given once, got n = {n} more than once")
+            raise DomainError(f"each n may be given once, got n = {_shown(n)} more than once")
         seen.add(n)
     if len(ns) > MAX_NS:
         raise DomainError(f"at most {MAX_NS} distinct values of n may be given, got {len(ns)}")

@@ -10,7 +10,8 @@ implementation under test:
 * Monomial degrees come from counting letters (a k-fold loop product of
   classes of degrees d_1..d_k lands in degree d_1+...+d_k - (k-1) n).
 * Loop-reversal signs on Pontrjagin powers are iterated one factor at a
-  time through the sign law, never taken from a closed formula.
+  time through the sign law, never taken from a closed formula; on free loop
+  monomials they come from counting the letters reversal negates.
 * Transfer products are expanded as the literal double sum over group
   elements, never through the transfer map.
 """
@@ -226,6 +227,20 @@ def reversal_sign_iterative(n: int, k: int) -> int:
         sign *= -1 if crossing % 2 else 1
         sign *= -1
     return sign
+
+
+def reversal_sign_by_letters(kind: str, n: int, word: tuple) -> int:
+    """Sign of loop reversal on the basis monomial with exponent vector `word`, counted letter by letter.
+
+    On the free loop space reversal fixes A and negates every other letter
+    of `_letters` (U for n odd; sigma1 and Theta for n even), so the sign is
+    -1 to the number of negated letters in the word.  On the based loop
+    space it is `reversal_sign_iterative` of x's exponent.
+    """
+    if kind == "omega":
+        return reversal_sign_iterative(n, word[0])
+    negated = sum(e for (name, _deg, _nil), e in zip(_letters(kind, n), word) if name != "A")
+    return -1 if negated % 2 else 1
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,18 @@ from pathlib import Path
 
 import pytest
 
-from loophom import DomainError, based_loop_space, cli, cyclic, dihedral, loop_space, sphere_space, verify
+from loophom import (
+    DomainError,
+    StructureError,
+    Subgroup,
+    based_loop_space,
+    cli,
+    cyclic,
+    dihedral,
+    loop_space,
+    sphere_space,
+    verify,
+)
 from loophom.core import POWER_BITS, POWER_TERMS, POWER_WORK
 from loophom.expr import MAX_NESTING, MAX_PRODUCT_PAIRS, EvalContext, evaluate
 from loophom.spaces import MAX_N_DIGITS
@@ -393,6 +404,71 @@ def test_an_integer_flag_of_5000_digits_is_refused_in_one_short_line(argv) -> No
     code, out, err = _loophom(*argv, "9" * 5000)
     assert (code, out) == (2, "")
     assert err == f"error: an integer flag may have at most {MAX_N_DIGITS} characters, got 5000\n"
+    assert len(err.encode()) < 200
+
+
+BIG = 10**5000  # past the 4300-digit int->str limit, where str and repr of it raise ValueError
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: loop_space(3, "Q").betti(BIG), "max_degree must be in 0..100000, got an int of 5001 digits"),
+        (lambda: loop_space(3, "Q").table(-BIG, loop_space(3, "Q")),
+         "max_degree must be in 0..100000, got an int of 5001 digits"),
+        (lambda: verify.run("algebra", ns=[3], degree_bound=BIG), "degree bound must be <= 100, got an int of 5001 digits"),
+        (lambda: verify.run("algebra", ns=[3], power_bound=-BIG), "power bound must be >= 0, got an int of 5001 digits"),
+        (lambda: Subgroup(-BIG, True), "subgroup parameter m must be an int >= 1, got an int of 5001 digits"),
+        (lambda: loop_space(3, "Q").monomial(BIG), "an int of 5001 digits is not an exponent vector of H(LS^3;Q)"),
+        (lambda: loop_space(3, "Q").monomial((BIG, 0)),
+         "a tuple of more than 100 characters is not an exponent vector of H(LS^3;Q)"),
+        (lambda: sphere_space(3, "Q").normalize([(1, BIG)]), "an int of 5001 digits is not a monomial of H(S^3;Q)"),
+        (lambda: loop_space(3, "Q").normalize([(1, -BIG)]), "an int of 5001 digits is not a monomial of H(LS^3;Q)"),
+        (lambda: loop_space(4, "Z").normalize([(Fraction(BIG, 3), 0)]),
+         "fractional coefficient a Fraction of more than 100 characters needs ring Q, not Z"),
+        # an n passes the digit ceiling with up to 4,000 digits, and its own refusals named all of them
+        (lambda: loop_space(-(10**3999) - 1, "Q"), "odd n must be >= 3, got an int of 4000 digits"),
+        (lambda: loop_space(-(10**3999), "Q"), "even n must be >= 2, got an int of 4000 digits"),
+        (lambda: based_loop_space(-(10**3999), "Q"), "n must be >= 2, got an int of 4000 digits"),
+        (lambda: sphere_space(-(10**3999), "Q"), "n must be >= 2, got an int of 4000 digits"),
+        (lambda: verify.run("algebra", ns=[10**3999, 10**3999]),
+         "each n may be given once, got n = an int of 4000 digits more than once"),
+    ],
+    ids=["betti", "table", "degree-bound", "power-bound", "subgroup", "monomial", "exponent-vector", "normalize",
+         "negative-monomial", "fraction-over-Z", "odd-n", "even-n", "based-n", "sphere-n", "repeated-n"],
+)
+def test_a_refusal_names_a_long_value_by_its_size(call, message: str) -> None:
+    with pytest.raises((DomainError, StructureError)) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_refusal_prints_a_value_of_up_to_100_characters_as_before() -> None:
+    loop = loop_space(3, "Q")
+    for value, shown in ((10**99, str(10**99)), (-(10**98), str(-(10**98))), (10**100, "an int of 101 digits"),
+                         (-(10**99), "an int of 100 digits")):
+        with pytest.raises(DomainError, match=f"^max_degree must be in 0..100000, got {shown}$"):
+            loop.betti(value)
+    with pytest.raises(StructureError, match=r"^\(2, 0\) is not an exponent vector of H\(LS\^3;Q\)$"):
+        loop.monomial((2, 0))
+    with pytest.raises(DomainError, match="^fractional coefficient 2/3 needs ring Q, not Z$"):
+        loop_space(3, "Z").normalize([(Fraction(2, 3), 0)])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(("betti", "--n", "3", "--max-degree", "9" * MAX_N_DIGITS), "max_degree must be in 0..100000"),
+     (("verify", "all", "--n", "3", "--degree-bound", "9" * MAX_N_DIGITS), "degree bound must be <= 100"),
+     (("verify", "all", "--n", "3", "--power-bound", "9" * MAX_N_DIGITS), "power bound must be <= 100"),
+     (("eval", "U", "--n", "-" + "9" * (MAX_N_DIGITS - 1)), "odd n must be >= 3")],
+    ids=["max-degree", "degree-bound", "power-bound", "n"],
+)
+def test_a_value_of_4000_characters_is_refused_in_one_short_line(argv, message: str) -> None:
+    # the flag ceiling lets 4,000 characters through; the refusals echoed them, 4 KB of stderr
+    code, out, err = _loophom(*argv)
+    assert (code, out) == (2, "")
+    digits = len(argv[-1].lstrip("-"))
+    assert err == f"error: {message}, got an int of {digits} digits\n"
     assert len(err.encode()) < 200
 
 

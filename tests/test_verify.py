@@ -3,7 +3,7 @@ sides computed apart, so a wrong map, transfer or product makes it fail with a c
 
 from __future__ import annotations
 
-from loophom import core, equivariant, verify
+from loophom import based_loop_space, core, dihedral, equivariant, quotient, verify
 
 
 def _failed(report, label_start: str) -> list:
@@ -114,3 +114,13 @@ def test_a_transfer_product_wrong_on_high_left_degrees_fails_associativity(monke
     report = verify.run("quotient-product", ns=[3], degree_bound=12)
     failed = _failed(report, "P(P(a,b),c) = P(a,P(b,c))")
     assert failed and all(c.detail for c in failed)
+
+
+def test_a_based_quotient_without_the_kernel_of_q_fails_q_of_x(monkeypatch) -> None:
+    # `_keep`, the kernel of q_*, is read by `project`, by `_fixes` and by every product.  Unfixed products exist
+    # only on the based algebra with n even (x^3 * x^3 = x^6), and no verify check forms one; so of every suite
+    # the fault fails the one check that projects an unfixed class, q(x) = 0, for either parity
+    for n in (3, 4):
+        monkeypatch.setattr(quotient(based_loop_space(n, "Q"), dihedral(1)), "_keep", None)
+    report = verify.run("all", ns=[3, 4], degree_bound=12, power_bound=4)
+    assert [c.line() for c in report.checks if not c.passed] == ["[FAIL] OS^3/D1: q(x) = 0", "[FAIL] OS^4/D1: q(x) = 0"]

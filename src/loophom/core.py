@@ -26,8 +26,9 @@ ints, unless a nilpotent letter would square.  A Koszul sign (-1)^{p q} needs
 a letter of odd shifted degree p to move past one of odd shifted degree q; an
 `Algebra` has at most one odd letter (A for n odd, sigma1 for n even in
 H_*(LS^n)), and a letter never moves past itself, so no sign arises.
-`Algebra._multiply` forms every product, scaling by `_factor` and keeping the
-monomials `_keep` passes; only a quotient sets them (see `equivariant`).
+`Algebra._multiply` forms every product, scaling by `_factor` and dropping a
+monomial m when m & `_keep` has an odd number of set bits; `_keep` is 0 (drop
+nothing) except on a reflection quotient (see `equivariant`).
 """
 
 from __future__ import annotations
@@ -123,9 +124,9 @@ class Algebra:
             torsion_rules = ()
         self._zero_from = [least_exponent(zero_rules, mask) for mask in masks]
         self._torsion_from = [least_exponent(torsion_rules, mask) for mask in masks]
-        # `_multiply`'s scale and the test its monomials must pass (None: all do); a `Quotient` sets its own
+        # `_multiply`'s scale, and the mask that drops a monomial m with odd popcount(m & _keep); a `Quotient` sets both
         self._factor = 1
-        self._keep = None
+        self._keep = 0
 
     # ------------------------------------------------------------------
     # scalars
@@ -240,17 +241,17 @@ class Algebra:
     def _multiply(self, left: dict, right: dict) -> "Element":
         """The product of two normal term maps: the one code that forms products, and that tests their term counts.
 
-        Each term product is `_factor`*c1*c2 on the monomial of `mul_monomials` (the nilpotent rule), dropped by the
-        zero rule and by `_keep` when set (a quotient's kernel of q_*).  Two one-term maps finish their one term here,
-        with `_reduce`'s coefficient rule written out, so no collecting pass or `_reduce` call is made; any other
-        pair collects its sums by product monomial, and `_reduce` applies the coefficient rule.
+        Each term product is `_factor`*c1*c2 on the monomial m of `mul_monomials` (the nilpotent rule), dropped by the
+        zero rule and when m & `_keep` has odd popcount (a quotient's kernel of q_*).  Two one-term maps finish their
+        one term here, with `_reduce`'s coefficient rule written out, so no collecting pass or `_reduce` call is made;
+        any other pair collects its sums by product monomial, and `_reduce` applies the coefficient rule.
         """
         if len(left) == 1 == len(right):
             ((m1, c1),) = left.items()
             ((m2, c2),) = right.items()
             mono = self.mul_monomials(m1, m2)
-            k, nil, keep = self._k, self._nil, self._keep
-            if mono is None or mono >> k >= self._zero_from[mono & nil] or keep is not None and not keep(mono):
+            k, nil = self._k, self._nil
+            if mono is None or mono >> k >= self._zero_from[mono & nil] or (mono & self._keep).bit_count() & 1:
                 return self.element(self, {})
             coeff = c1 * self._factor * c2
             if type(coeff) is not int:
@@ -266,10 +267,8 @@ class Algebra:
             c1 *= factor
             for m2, c2 in right:
                 mono = mul(m1, m2)
-                if mono is not None and mono >> k < zero_from[mono & nil]:
+                if mono is not None and mono >> k < zero_from[mono & nil] and not (mono & keep).bit_count() & 1:
                     acc[mono] = acc.get(mono, 0) + c1 * c2
-        if keep is not None:
-            acc = {m: c for m, c in acc.items() if keep(m)}
         return self._reduce(acc, {})
 
     def zero(self) -> "Element":

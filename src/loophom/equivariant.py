@@ -38,10 +38,13 @@ transfer product, the quotient's product, has a closed form:
 
 So a quotient's product is its space's with two pieces of data, the scale
 |G|^2 and the kernel of q_* (`_factor` and `_keep`, which `Algebra._multiply`
-reads).  It is associative and graded-commutative with the sign rule of the
-loop product, and its unit is q_*(E) / |G|^2.  The q_* stays: a product of
-fixed monomials need not be fixed, since on the based algebra with n even
-theta_* is not multiplicative (x^3 is fixed, x^6 = x^3 * x^3 is negated).
+reads).  `_keep` is an int: q_* drops a monomial m when popcount(m & _keep)
+is odd, and `_keep` is `reversal_flips(space)` for a group with a reflection
+and 0 for one without.  It is associative and graded-commutative with the
+sign rule of the loop product, and its unit is q_*(E) / |G|^2.  The q_*
+stays: a product of fixed monomials need not be fixed, since on the based
+algebra with n even theta_* is not multiplicative (x^3 is fixed, x^6 = x^3 *
+x^3 is negated).
 The same construction on the based algebra gives the based transfer product
 (``POmega`` in the CLI).
 
@@ -55,7 +58,7 @@ import functools
 from fractions import Fraction
 
 from .core import RING_Q, Algebra, DomainError, Element, StructureError, _int_str, _shown, scalar_str
-from .maps import reversal_sign, theta_star
+from .maps import reversal_flips, theta_star
 from .spaces import LOOP, OMEGA, BettiTable, Space
 
 
@@ -72,6 +75,10 @@ class Subgroup:
     def __init__(self, m: int, reflections: bool, rotation=0):
         if type(m) is not int or m < 1:
             raise DomainError(f"subgroup parameter m must be an int >= 1, got {_shown(m)}")
+        if type(reflections) is not bool:
+            raise DomainError(f"subgroup parameter reflections must be a bool, got {_shown(reflections)}")
+        if type(rotation) not in (int, Fraction):  # a float would be read as its exact binary fraction
+            raise DomainError(f"subgroup rotation must be an int or a Fraction, got {_shown(rotation)}")
         rotation = Fraction(rotation) % Fraction(1, m) if reflections else Fraction(0)
         for name, value in zip(self.__slots__, (m, reflections, rotation)):
             object.__setattr__(self, name, value)
@@ -166,6 +173,8 @@ class Quotient(Algebra):
     element = QElement
 
     def __init__(self, space: Space, group: Subgroup):
+        if not isinstance(space, Space) or type(group) is not Subgroup:
+            raise DomainError(f"a quotient needs a Space and a Subgroup, got {_shown(space)} and {_shown(group)}")
         if space.ring != RING_Q:
             raise DomainError("quotient homology bookkeeping requires ring Q")
         if space.kind not in (LOOP, OMEGA):
@@ -179,9 +188,7 @@ class Quotient(Algebra):
         self.space = space
         self.group = group
         self._factor = group.order**2  # P_G(a, b) = |G|^2 q_*(a * b); q_* kills what a reflection negates
-        if group.reflections:
-            sign = reversal_sign(space)
-            self._keep = lambda mono: sign(mono) == 1
+        self._keep = reversal_flips(space) if group.reflections else 0
         self._theta = theta_star(space)
 
     def monomial_str(self, mono: int) -> str:
@@ -210,13 +217,13 @@ class Quotient(Algebra):
     invariants = basis
 
     def _fixes(self, mono: int) -> bool:
-        """Whether the group fixes a basis monomial: `_keep`, the test every product term passes.
+        """Whether the group fixes a basis monomial: the `_keep` test every product term passes.
 
         Rotations act trivially and every reflection acts by theta_*, which
-        is diagonal, +-1 on each basis monomial (`reversal_sign`); so an
+        is diagonal, +-1 on each basis monomial (`reversal_flips`); so an
         element is invariant exactly when each of its monomials is.
         """
-        return self._keep is None or self._keep(mono)
+        return not (mono & self._keep).bit_count() & 1
 
     # -- the two structure maps ------------------------------------------
 
@@ -230,10 +237,8 @@ class Quotient(Algebra):
         """
         if elt.algebra is not self.space:
             raise StructureError(f"q expects an element of {self.space.label}")
-        terms, keep = elt.terms, self._keep  # None: every monomial is fixed, and terms are never changed in place
-        if keep is not None:
-            terms = {m: c for m, c in terms.items() if keep(m)}
-        return QElement(self, terms)
+        keep = self._keep
+        return QElement(self, {m: c for m, c in elt.terms.items() if not (m & keep).bit_count() & 1})
 
     def transfer(self, a: QElement) -> Element:
         """tr: wrong-way map back to the covering space, |G| times the same terms; tr(q z) = sum_g g z."""

@@ -4,16 +4,15 @@ A map's `source` and `target` are `Space`s, which are the algebras
 themselves: a map accepts the elements of its source and returns elements
 of its target.
 
-* ``theta_star``  — loop reversal acting on homology.  It is diagonal: it
-  multiplies each basis monomial by the sign `reversal_sign(space)` gives
-  it, and `Quotient` reads that sign function directly.  On the free loop
-  algebras each generator is a reversal eigenvector, so the sign on a
-  monomial is the product of its letters' signs.  On the based algebra the
-  k-th power of x needs more care: reversal is an anti-homomorphism up to
-  the Koszul rule, so reversing x^k also reverses the order of the k
-  factors.  For n even x has odd degree and the reshuffle contributes
-  (-1)^{k(k-1)/2} on top of the letterwise (-1)^k, giving the net sign
-  (-1)^{k(k+1)/2}.  For n odd the letters commute and the sign is (-1)^k.
+* ``theta_star``  — loop reversal acting on homology.  It is diagonal: a
+  basis monomial m goes to (-1)^popcount(m & flips) m, for the int flips =
+  `reversal_flips(space)`, which `Quotient` reads as its `_keep`.  On the
+  free loop algebras flips has the bits of the letters reversal negates.  On
+  the based algebra x^k needs more care: reversal is an anti-homomorphism
+  up to the Koszul rule, so reversing x^k also reverses the order of the k
+  factors.  For n even x has odd degree and the reshuffle adds (-1)^{k(k-1)/2}
+  to the letterwise (-1)^k: the net (-1)^{k(k+1)/2} is (-1)^popcount(k & 3),
+  flips 0b11.  For n odd the letters commute, the sign is (-1)^k, flips 1.
 * ``chi_star``    — the rotation-vs-reflection comparison on homology; the
   identity map.
 * ``ev_star``     — evaluation at the basepoint, loop -> sphere: A to the
@@ -81,21 +80,20 @@ def reversal_power_sign(n: int, k: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def reversal_sign(space: Space):
-    """The sign by which loop reversal multiplies each basis monomial, as a function of the monomial."""
+def reversal_flips(space: Space) -> int:
+    """The monomial whose set bits loop reversal negates: theta_* multiplies m by (-1)^popcount(m & flips)."""
     if space.kind == LOOP:
         # the letters that reversal negates; bit k of a monomial is the parity of the free exponent
-        flips = space.monomial(tuple(int(g.theta_sign < 0) for g in space.generators))
-        return lambda mono: -1 if (mono & flips).bit_count() % 2 else 1
+        return space.monomial(tuple(int(g.theta_sign < 0) for g in space.generators))
     if space.kind == OMEGA:
-        return lambda mono: reversal_power_sign(space.n, mono)  # mono is the exponent of x
+        return 1 if space.n % 2 else 0b11  # mono is the exponent k of x, and k(k+1)/2 = popcount(k & 3) mod 2
     raise DomainError("loop reversal acts on the loop and omega spaces only")
 
 
 def theta_star(space: Space) -> LinearMap:
     """Loop reversal on homology (an involution and product endomorphism)."""
-    sign = reversal_sign(space)
-    return LinearMap(space, space, lambda mono: (sign(mono), mono), f"theta on {space.label}")
+    flips = reversal_flips(space)
+    return LinearMap(space, space, lambda mono: ((-1) ** (mono & flips).bit_count(), mono), f"theta on {space.label}")
 
 
 def chi_star(space: Space) -> LinearMap:

@@ -111,6 +111,8 @@ class Space(Algebra):
         printed by `alg.monomial_str`, and carries their common family tag, if
         any; a quotient's table carries its group's label.
         """
+        if type(max_degree) is not int:
+            raise DomainError(f"max_degree must be an int, got {_shown(max_degree)}")
         if not 0 <= max_degree <= MAX_TABLE_DEGREE:
             raise DomainError(f"max_degree must be in 0..{MAX_TABLE_DEGREE}, got {_shown(max_degree)}")
         rows = []
@@ -150,11 +152,13 @@ class BettiTable(namedtuple("BettiTable", "space n ring group max_degree rows"))
 
 
 def _check_digits(n: int) -> None:
+    if type(n) is not int:  # a float or bool equal to an int n would build a space labelled with it
+        raise DomainError(f"n must be an int, got {_shown(n)}")
     if abs(n) >= 10**MAX_N_DIGITS:
         raise DomainError(f"n must have at most {MAX_N_DIGITS} digits")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def loop_space(n: int, ring: str) -> Space:
     """Free loop space homology of S^n with the loop product."""
     _check_digits(n)
@@ -186,7 +190,7 @@ def loop_space(n: int, ring: str) -> Space:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def based_loop_space(n: int, ring: str) -> Space:
     """Based loop space homology of S^n: the Pontrjagin ring Z[x], |x|=n-1."""
     _check_digits(n)
@@ -196,7 +200,7 @@ def based_loop_space(n: int, ring: str) -> Space:
     return Space(OMEGA, n, {"x": (1,)}, label=f"H(OS^{n};{ring})", ring=ring, generators=gens, shift=0)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def sphere_space(n: int, ring: str) -> Space:
     """Homology of S^n with the intersection product."""
     _check_digits(n)

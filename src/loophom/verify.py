@@ -613,6 +613,8 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all"
         )
     for flag, bound in (("degree", degree_bound), ("power", power_bound)):
+        if bound is not None and type(bound) is not int:
+            raise DomainError(f"{flag} bound must be an int, got {_shown(bound)}")
         if bound is not None and not 0 <= bound <= SWEEP_BOUND:
             side = ">= 0" if bound < 0 else f"<= {SWEEP_BOUND}"
             raise DomainError(f"{flag} bound must be {side}, got {_shown(bound)}")
@@ -626,6 +628,11 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
     if len(ns) > MAX_NS:
         raise DomainError(f"at most {MAX_NS} distinct values of n may be given, got {len(ns)}")
     rings = tuple(rings) if rings else (RING_Q, RING_Z)
+    for i, ring in enumerate(rings):
+        if ring not in (RING_Q, RING_Z):
+            raise DomainError(f"unknown ring {_shown(ring)} (use Q or Z)")
+        if ring in rings[:i]:
+            raise DomainError(f"each ring may be given once, got ring = {ring} more than once")
     K = POWER_BOUND if power_bound is None else power_bound
     for name in names:  # refuse a bad n before any suite runs, with the error its suite would raise
         for n in ns:

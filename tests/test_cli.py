@@ -294,6 +294,29 @@ def test_verify_refuses_a_repeated_n(capsys, ns) -> None:
         verify.run("algebra", ns=[3, 4, 3])
 
 
+@pytest.mark.parametrize("bound", [2.5, True, "3"], ids=repr)
+@pytest.mark.parametrize("flag", ["degree", "power"])
+def test_verify_refuses_a_bound_that_is_not_an_int(flag: str, bound) -> None:
+    # 2.5 raised TypeError from a suite, and True ran as 1 and was printed as "degree bound True"
+    with pytest.raises(DomainError, match=f"^{flag} bound must be an int, got {bound!r}$"):
+        verify.run("algebra", ns=[5], **{f"{flag}_bound": bound})
+
+
+@pytest.mark.parametrize("rings", [["Q", "Q"], ("Z", "Q", "Z")], ids=repr)
+def test_verify_refuses_a_repeated_ring(rings) -> None:
+    # each check would run once per copy, as a repeated n would
+    with pytest.raises(DomainError, match=f"^each ring may be given once, got ring = {rings[0]} more than once$"):
+        verify.run("gysin", ns=[5], rings=rings)
+    with pytest.raises(DomainError, match=r"^unknown ring 'R' \(use Q or Z\)$"):
+        verify.run("gysin", ns=[5], rings=["Q", "R"])
+
+
+def test_verify_refuses_an_n_that_is_not_an_int() -> None:
+    for ns in ([5.0], [3, "4"], [True]):
+        with pytest.raises(DomainError, match=f"^n must be an int, got {ns[-1]!r}$"):
+            verify.run("algebra", ns=ns, degree_bound=0)
+
+
 def test_verify_names_the_first_repeated_n_not_the_list() -> None:
     with pytest.raises(DomainError) as info:
         verify.run("all", ns=[3] * 20000)

@@ -149,6 +149,28 @@ def test_subgroup_validation() -> None:
                 make(m)
 
 
+@pytest.mark.parametrize("reflections", [None, 0, 1, "yes"], ids=repr)
+def test_subgroup_reflections_must_be_a_bool(reflections) -> None:
+    # Subgroup(2, None) was a second C2, whose quotient's classes could not combine with cyclic(2)'s
+    with pytest.raises(DomainError, match=f"^subgroup parameter reflections must be a bool, got {reflections!r}$"):
+        Subgroup(2, reflections)
+
+
+@pytest.mark.parametrize("rotation", [0.1, "1/3", True, None], ids=repr)
+def test_subgroup_rotation_must_be_an_int_or_a_fraction(rotation) -> None:
+    # 0.1 gave the label D2@3602879701896397/36028797018963968, and "x" a ValueError
+    with pytest.raises(DomainError, match=f"^subgroup rotation must be an int or a Fraction, got {rotation!r}$"):
+        conjugate_dihedral(2, rotation)
+
+
+def test_a_quotient_needs_a_space_and_a_subgroup() -> None:
+    # quotient(space, "D1") raised AttributeError, and so did a quotient of a quotient
+    space = loop_space(3, "Q")
+    for args in ((space, "D1"), (space, None), (quotient(space, dihedral(1)), dihedral(1)), ("loop", dihedral(1))):
+        with pytest.raises(DomainError, match="^a quotient needs a Space and a Subgroup, got "):
+            quotient(*args)
+
+
 # ----------------------------------------------------------------------
 # quotient construction
 # ----------------------------------------------------------------------

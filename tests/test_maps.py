@@ -8,16 +8,19 @@ from loophom import (
     StructureError,
     based_loop_space,
     chi_star,
+    dihedral,
     ev_star,
     j_shriek,
     j_star,
     loop_space,
+    quotient,
     reversal_power_sign,
     sphere_space,
+    theta_group,
     theta_star,
 )
 
-from oracles import reversal_sign_iterative
+from oracles import reversal_sign_by_letters, reversal_sign_iterative
 
 
 def _loop_classes(n: int, ring: str, max_degree: int) -> list:
@@ -144,6 +147,25 @@ def test_reversal_case_formula() -> None:
             else:
                 expected = 1 if k % 2 else -1
             assert reversal_power_sign(n, k) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("make", [loop_space, based_loop_space])
+def test_reversal_signs_and_fixed_monomials_match_the_letter_count(make, n: int) -> None:
+    # theta_* and the reflection quotients' kernel of q_* read one bit mask; the oracle counts letters
+    space = make(n, "Q")
+    theta = theta_star(space)
+    monomials = [m for d in range(40 * n + 1) for m in space.basis(d)]
+    signs = {m: reversal_sign_by_letters(space.kind, n, space.exponents(m)) for m in monomials}
+    for m in monomials:
+        assert theta(space.monomial_element(m)) == signs[m] * space.monomial_element(m), (n, m)
+    if n >= 3:
+        fixed = [m for m in monomials if signs[m] == 1]
+        every = space.normalize([(1, m) for m in monomials])
+        for group in (dihedral(1), theta_group()):
+            q = quotient(space, group)
+            assert [m for d in range(40 * n + 1) for m in q.basis(d)] == fixed
+            assert q.project(every).terms == dict.fromkeys(fixed, 1)
 
 
 def test_reversal_rejects_the_sphere() -> None:

@@ -172,6 +172,35 @@ def test_negative_table_bound_rejected() -> None:
         loop_space(3, "Q").betti(-1)
 
 
+@pytest.mark.parametrize("bound", [2.5, True, "3"], ids=repr)
+def test_a_table_bound_that_is_not_an_int_is_refused(bound) -> None:
+    # 2.5 reached range() as a TypeError, and True was read as 1 and printed as True
+    for alg in (loop_space(5, "Q"), quotient(loop_space(5, "Q"), dihedral(1))):
+        with pytest.raises(DomainError, match=f"^max_degree must be an int, got {bound!r}$"):
+            alg.betti(bound)
+
+
+@pytest.mark.parametrize("n", [3.0, 3.5, "3", True, None], ids=repr)
+@pytest.mark.parametrize("make", [loop_space, based_loop_space, sphere_space])
+def test_an_n_that_is_not_an_int_is_refused(make, n) -> None:
+    with pytest.raises(DomainError, match=f"^n must be an int, got {n!r}$"):
+        make(n, "Q")
+    with pytest.raises(DomainError, match=f"^n must be an int, got {n!r}$"):
+        make_space({loop_space: "loop", based_loop_space: "omega", sphere_space: "sphere"}[make], n, "Z")
+
+
+def test_a_refused_float_n_leaves_the_int_space_as_it_is() -> None:
+    # lru_cache keys 37.0 and 37 alike: an accepted loop_space(37.0, "Q") was what every later
+    # loop_space(37, "Q") returned, labelled H(LS^37.0;Q); n = 37 and 38 are used by no other test
+    for make, n, label in ((loop_space, 3, "H(LS^3;Q)"), (loop_space, 37, "H(LS^37;Q)"),
+                           (based_loop_space, 38, "H(OS^38;Q)")):
+        with pytest.raises(DomainError):
+            make(float(n), "Q")
+        space = make(n, "Q")
+        assert (type(space.n), space.n, space.label) == (int, n, label)
+        assert make(n, "Q") is space
+
+
 def test_make_space_dispatch() -> None:
     assert make_space("loop", 3, "Q") is loop_space(3, "Q")
     assert make_space("omega", 3, "Q") is based_loop_space(3, "Q")

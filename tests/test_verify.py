@@ -117,10 +117,10 @@ def test_a_transfer_product_wrong_on_high_left_degrees_fails_associativity(monke
 
 
 def test_a_based_quotient_without_the_kernel_of_q_fails_q_of_x(monkeypatch) -> None:
-    # `_keep`, the kernel of q_*, is read by `project`, by `_fixes` and by every product.  Unfixed products exist
-    # only on the based algebra with n even (x^3 * x^3 = x^6), and no verify check forms one; so of every suite
-    # the fault fails the one check that projects an unfixed class, q(x) = 0, for either parity
+    # `_keep`, the kernel of q_* (0: no kernel), is read by `project`, by `_fixes` and by every product.  Unfixed
+    # products exist only on the based algebra with n even (x^3 * x^3 = x^6), and no verify check forms one; so of
+    # every suite the fault fails the one check that projects an unfixed class, q(x) = 0, for either parity
     for n in (3, 4):
-        monkeypatch.setattr(quotient(based_loop_space(n, "Q"), dihedral(1)), "_keep", None)
+        monkeypatch.setattr(quotient(based_loop_space(n, "Q"), dihedral(1)), "_keep", 0)
     report = verify.run("all", ns=[3, 4], degree_bound=12, power_bound=4)
     assert [c.line() for c in report.checks if not c.passed] == ["[FAIL] OS^3/D1: q(x) = 0", "[FAIL] OS^4/D1: q(x) = 0"]

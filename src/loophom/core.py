@@ -51,12 +51,12 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class Generator(namedtuple("Generator", "name shifted nilpotent theta_sign", defaults=(False, 1))):
+class Generator(namedtuple("Generator", "name shifted nilpotent", defaults=(False,))):
     """One generator of a presented algebra.
 
     `shifted` is the degree in the product grading (homological degree minus
     the algebra's shift); at most one generator of an algebra has it odd, so
-    no Koszul sign arises.  `theta_sign` is the eigenvalue under loop reversal.
+    no Koszul sign arises.
     """
 
     __slots__ = ()
@@ -92,7 +92,7 @@ class Algebra:
         torsion_rules: Iterable[int] = (),
     ):
         if ring not in (RING_Q, RING_Z):
-            raise DomainError(f"unknown coefficient ring {ring!r}")
+            raise DomainError(f"unknown coefficient ring {_shown(ring)}")
         self.label = label
         self.ring = ring
         self.generators = gens = tuple(generators)
@@ -463,6 +463,10 @@ POWER_TERMS = 128
 #: product `expr` forms, so a costly product is refused, not made; two single terms under POWER_BITS
 #: form at most 2 * POWER_BITS
 POWER_WORK = 8 * POWER_BITS
+#: most bit pairs the term pairs of one product that hold a fraction may cost in all: bits(c1) * bits(c2) for
+#: each such pair of coefficients, since multiplying c1 and c2 runs gcds whose time grows as that product.
+#: `check_work` checks it after POWER_WORK; two factors (2/3)^470000, of 745K bits each, took 1.1 s on 2 vCPUs
+FRACTION_WORK = 1 << 39
 
 
 def power(base, k):
@@ -530,10 +534,18 @@ def _term_power(base, k: int, what: str):
 
 def check_work(x, y, what: str) -> None:
     """DomainError, naming `what`, when the term products of x * y (scalars or `Element`s) would hold
-    more than POWER_WORK coefficient bits in all."""
+    more than POWER_WORK coefficient bits in all, or their term pairs that hold a fraction would cost
+    more than FRACTION_WORK bit pairs in all."""
     cx, cy = _coefficients(x), _coefficients(y)
-    if len(cy) * _bits(cx) + len(cx) * _bits(cy) > POWER_WORK:
+    bx, by = _bits(cx), _bits(cy)
+    if len(cy) * bx + len(cx) * by > POWER_WORK:
         raise DomainError(f"{what} needs term products of more than {POWER_WORK} bits in all")
+    pairs = bx * by  # bits(c1) * bits(c2) summed over every term pair
+    if pairs > FRACTION_WORK:
+        # less the pairs of two integers, which multiply with no gcd
+        pairs -= _bits(c for c in cx if c.denominator == 1) * _bits(c for c in cy if c.denominator == 1)
+        if pairs > FRACTION_WORK:
+            raise DomainError(f"{what} needs fractional term products of more than {FRACTION_WORK} bit pairs in all")
 
 
 def _coefficients(value):

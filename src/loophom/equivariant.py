@@ -54,7 +54,6 @@ invariants, and no integral quotient structure is modeled.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .core import RING_Q, Algebra, DomainError, Element, StructureError, _int_str, _shown, scalar_str
@@ -173,8 +172,7 @@ class Quotient(Algebra):
     element = QElement
 
     def __init__(self, space: Space, group: Subgroup):
-        if not isinstance(space, Space) or type(group) is not Subgroup:
-            raise DomainError(f"a quotient needs a Space and a Subgroup, got {_shown(space)} and {_shown(group)}")
+        _check_pair(space, group)
         if space.ring != RING_Q:
             raise DomainError("quotient homology bookkeeping requires ring Q")
         if space.kind not in (LOOP, OMEGA):
@@ -182,7 +180,7 @@ class Quotient(Algebra):
         if space.n < 3:
             raise DomainError("quotient claims are modeled for n >= 3")
         vars(self).update(vars(space))  # the covering space's encoding and tables, as they are
-        del self.kind, self.n, self.named  # the space's own fields, which `space` keeps
+        del self.kind, self.n, self.named, self.flips  # the space's own fields, which `space` keeps
         self.label = f"{space.label}/{group.label}"
         self.unit_name = f"q({space.unit_name})"
         self.space = space
@@ -277,10 +275,21 @@ class Quotient(Algebra):
         return f"Quotient({self.space!r} / {self.group.label})"
 
 
-@functools.lru_cache(maxsize=None)
+def _check_pair(space: Space, group: Subgroup) -> None:
+    if not isinstance(space, Space) or type(group) is not Subgroup:
+        raise DomainError(f"a quotient needs a Space and a Subgroup, got {_shown(space)} and {_shown(group)}")
+
+
+_quotients: dict = {}  # (space, group) -> the one Quotient `quotient` built
+
+
 def quotient(space: Space, group: Subgroup) -> Quotient:
-    """Cached quotient constructor, so object identity follows (space, group)."""
-    return Quotient(space, group)
+    """Cached quotient constructor, so object identity follows (space, group); the pair is checked, then hashed."""
+    _check_pair(space, group)
+    key = space, group
+    if key not in _quotients:
+        _quotients[key] = Quotient(space, group)
+    return _quotients[key]
 
 
 # ----------------------------------------------------------------------

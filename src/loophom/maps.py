@@ -5,14 +5,9 @@ themselves: a map accepts the elements of its source and returns elements
 of its target.
 
 * ``theta_star``  — loop reversal acting on homology.  It is diagonal: a
-  basis monomial m goes to (-1)^popcount(m & flips) m, for the int flips =
-  `reversal_flips(space)`, which `Quotient` reads as its `_keep`.  On the
-  free loop algebras flips has the bits of the letters reversal negates.  On
-  the based algebra x^k needs more care: reversal is an anti-homomorphism
-  up to the Koszul rule, so reversing x^k also reverses the order of the k
-  factors.  For n even x has odd degree and the reshuffle adds (-1)^{k(k-1)/2}
-  to the letterwise (-1)^k: the net (-1)^{k(k+1)/2} is (-1)^popcount(k & 3),
-  flips 0b11.  For n odd the letters commute, the sign is (-1)^k, flips 1.
+  basis monomial m goes to (-1)^popcount(m & flips) m, for the mask flips =
+  `reversal_flips(space)` that the space's presentation declares (see
+  `spaces`), which `Quotient` reads as its `_keep`.
 * ``chi_star``    — the rotation-vs-reflection comparison on homology; the
   identity map.
 * ``ev_star``     — evaluation at the basepoint, loop -> sphere: A to the
@@ -33,7 +28,7 @@ tying these together.
 from __future__ import annotations
 
 from .core import DomainError, Element, StructureError
-from .spaces import LOOP, OMEGA, Space, based_loop_space, loop_space, sphere_space
+from .spaces import Space, based_loop_space, loop_space, sphere_space
 
 
 class LinearMap:
@@ -82,12 +77,9 @@ def reversal_power_sign(n: int, k: int) -> int:
 
 def reversal_flips(space: Space) -> int:
     """The monomial whose set bits loop reversal negates: theta_* multiplies m by (-1)^popcount(m & flips)."""
-    if space.kind == LOOP:
-        # the letters that reversal negates; bit k of a monomial is the parity of the free exponent
-        return space.monomial(tuple(int(g.theta_sign < 0) for g in space.generators))
-    if space.kind == OMEGA:
-        return 1 if space.n % 2 else 0b11  # mono is the exponent k of x, and k(k+1)/2 = popcount(k & 3) mod 2
-    raise DomainError("loop reversal acts on the loop and omega spaces only")
+    if space.flips is None:
+        raise DomainError("loop reversal acts on the loop and omega spaces only")
+    return space.flips
 
 
 def theta_star(space: Space) -> LinearMap:

@@ -2,8 +2,9 @@
 
 A space is its homology algebra: `loop_space`, `based_loop_space` and
 `sphere_space` each return one `Space`, an `Algebra` that also knows its
-`kind`, its `n` and its `named` classes.  Its unit is `space.unit()`, and
-`betti` and `table` list its graded pieces, or a quotient's, row by row.
+`kind`, its `n`, its `named` classes and its reversal mask `flips`.  Its
+unit is `space.unit()`, and `betti` and `table` list its graded pieces, or a
+quotient's, row by row.
 
 Three spaces, three products:
 
@@ -24,11 +25,21 @@ n even (n >= 2):  ( exterior(sigma1[-1]) (x) poly(A[-n], Theta[2n-2]) )
 Over Q the 2-torsion monomials A*Theta^k (k >= 1) vanish; over Z they carry
 the Z/2 summands in degrees 2r(n-1).  The unshifted degrees: A at 0, sigma1
 at n-1, E at n, U at 2n-1, Theta at 3n-2.
+
+`make_space` builds each space once from its kind's presentation: the
+generators, named letters, rules, shift and unit name above, and the mask
+`flips` of loop reversal, which multiplies a basis monomial m by
+(-1)^popcount(m & flips).  On the loop algebras flips holds the letters
+reversal negates: U (0b10) for n odd, sigma1 and Theta (0b101) for n even.
+On the based algebra, where the monomial k is x^k, reversal also reverses
+the order of the k factors: the letterwise (-1)^k gains the Koszul sign
+(-1)^{k(k-1)/2} when x has odd degree.  So flips is 1 for n odd, and 0b11
+for n even, where the net exponent k(k+1)/2 is odd exactly when
+popcount(k & 3) is.  The sphere's flips is None.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 
 from .core import (
@@ -53,17 +64,19 @@ MAX_N_DIGITS = 4000
 
 
 class Space(Algebra):
-    """The algebra of one space of S^n, plus its `kind`, `n` and cast of `named` classes.
+    """The algebra of one space of S^n, plus its `kind`, `n`, cast of `named` classes and reversal mask `flips`.
 
-    `letters` maps each name to the exponent vector of its monomial, and the
-    unit is named too unless its name is a number; the rest of the keyword
-    arguments are `Algebra`'s.
+    `symbol` names the space in the label, `letters` maps each name to the
+    exponent vector of its monomial, and the unit is named too unless its
+    name is a number; the rest of the keyword arguments are `Algebra`'s.
+    `make_space` builds every space.
     """
 
-    def __init__(self, kind: str, n: int, letters: dict, **algebra):
-        super().__init__(**algebra)
+    def __init__(self, kind: str, n: int, ring: str, symbol: str, letters: dict, flips, **algebra):
+        super().__init__(label=f"H({symbol}^{n};{ring})", ring=ring, **algebra)
         self.kind = kind
         self.n = n
+        self.flips = flips
         self.named = {name: self.monomial_element(self.monomial(exps)) for name, exps in letters.items()}
         if self.unit_name.isidentifier():  # the based unit 1 reads as the scalar 1
             self.named[self.unit_name] = self.unit()
@@ -158,66 +171,55 @@ def _check_digits(n: int) -> None:
         raise DomainError(f"n must have at most {MAX_N_DIGITS} digits")
 
 
-@functools.lru_cache(maxsize=None, typed=True)
-def loop_space(n: int, ring: str) -> Space:
-    """Free loop space homology of S^n with the loop product."""
-    _check_digits(n)
+def _presentation(kind: str, n: int) -> dict:
+    """`Space`'s arguments but the ring for the space of this kind of S^n; see the module docstring."""
+    if kind == SPHERE:
+        return dict(symbol="S", generators=(Generator("pt", -n, nilpotent=True),), shift=n, unit_name="fundamental",
+                    letters={"pt": (1,)}, flips=None)
+    if kind == OMEGA:
+        return dict(symbol="OS", generators=(Generator("x", n - 1),), shift=0, letters={"x": (1,)},
+                    flips=1 if n % 2 else 0b11)
     if n % 2:
-        if n < 3:
-            raise DomainError(f"odd n must be >= 3, got {_shown(n)}")
-        gens = (
-            Generator("A", shifted=-n, nilpotent=True, theta_sign=1),
-            Generator("U", shifted=n - 1, theta_sign=-1),
-        )
-        rules = {}
-        letters = {"A": (1, 0), "U": (0, 1), "sigma1": (1, 1), "Theta": (0, 2)}
-    else:
-        if n < 2:
-            raise DomainError(f"even n must be >= 2, got {_shown(n)}")
-        gens = (
-            Generator("sigma1", shifted=-1, nilpotent=True, theta_sign=-1),
-            Generator("A", shifted=-n, nilpotent=True, theta_sign=1),
-            Generator("Theta", shifted=2 * n - 2, theta_sign=-1),
-        )
-        rules = {
-            # a monomial is Theta's exponent << 2 | A's bit << 1 | sigma1's bit
-            "extra_zero_rules": (0b011,),  # sigma1*A = 0
-            "torsion_rules": (0b110,),  # 2*A*Theta = 0
-        }
-        letters = {"A": (0, 1, 0), "sigma1": (1, 0, 0), "Theta": (0, 0, 1)}
-    return Space(
-        LOOP, n, letters, label=f"H(LS^{n};{ring})", ring=ring, generators=gens, shift=n, unit_name="E", **rules
-    )
+        gens = Generator("A", -n, nilpotent=True), Generator("U", n - 1)
+        return dict(symbol="LS", generators=gens, shift=n, unit_name="E", flips=0b10,
+                    letters={"A": (1, 0), "U": (0, 1), "sigma1": (1, 1), "Theta": (0, 2)})
+    # a monomial is Theta's exponent << 2 | A's bit << 1 | sigma1's bit; the rules are sigma1*A = 0 and 2*A*Theta = 0
+    gens = Generator("sigma1", -1, nilpotent=True), Generator("A", -n, nilpotent=True), Generator("Theta", 2 * n - 2)
+    return dict(symbol="LS", generators=gens, shift=n, unit_name="E", flips=0b101, extra_zero_rules=(0b011,),
+                torsion_rules=(0b110,), letters={"A": (0, 1, 0), "sigma1": (1, 0, 0), "Theta": (0, 0, 1)})
 
 
-@functools.lru_cache(maxsize=None, typed=True)
-def based_loop_space(n: int, ring: str) -> Space:
-    """Based loop space homology of S^n: the Pontrjagin ring Z[x], |x|=n-1."""
-    _check_digits(n)
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {_shown(n)}")
-    gens = (Generator("x", shifted=n - 1, theta_sign=-1),)
-    return Space(OMEGA, n, {"x": (1,)}, label=f"H(OS^{n};{ring})", ring=ring, generators=gens, shift=0)
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def sphere_space(n: int, ring: str) -> Space:
-    """Homology of S^n with the intersection product."""
-    _check_digits(n)
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {_shown(n)}")
-    gens = (Generator("pt", shifted=-n, nilpotent=True, theta_sign=1),)
-    return Space(SPHERE, n, {"pt": (1,)}, label=f"H(S^{n};{ring})", ring=ring, generators=gens, shift=n,
-                 unit_name="fundamental")
+_spaces: dict = {}  # (kind, n, ring) -> the one Space `make_space` built
 
 
 def make_space(kind: str, n: int, ring: str) -> Space:
+    """The space of this kind of S^n over the ring, built once from its presentation.  The cache keys on the
+    arguments once they are checked: the ring and kind by equality, so none is hashed, and n by type."""
     if ring not in (RING_Q, RING_Z):
-        raise DomainError(f"unknown ring {ring!r} (use Q or Z)")
-    if kind == LOOP:
-        return loop_space(n, ring)
-    if kind == OMEGA:
-        return based_loop_space(n, ring)
-    if kind == SPHERE:
-        return sphere_space(n, ring)
-    raise DomainError(f"unknown space kind {kind!r} (use loop, omega, sphere)")
+        raise DomainError(f"unknown ring {_shown(ring)} (use Q or Z)")
+    if kind not in (LOOP, OMEGA, SPHERE):
+        raise DomainError(f"unknown space kind {_shown(kind)} (use loop, omega, sphere)")
+    _check_digits(n)
+    least = 3 if kind == LOOP and n % 2 else 2
+    if n < least:
+        parity = ("odd " if n % 2 else "even ") if kind == LOOP else ""
+        raise DomainError(f"{parity}n must be >= {least}, got {_shown(n)}")
+    key = kind, n, ring
+    if key not in _spaces:
+        _spaces[key] = Space(kind, n, ring, **_presentation(kind, n))
+    return _spaces[key]
+
+
+def loop_space(n: int, ring: str) -> Space:
+    """Free loop space homology of S^n with the loop product."""
+    return make_space(LOOP, n, ring)
+
+
+def based_loop_space(n: int, ring: str) -> Space:
+    """Based loop space homology of S^n: the Pontrjagin ring Z[x], |x|=n-1."""
+    return make_space(OMEGA, n, ring)
+
+
+def sphere_space(n: int, ring: str) -> Space:
+    """Homology of S^n with the intersection product."""
+    return make_space(SPHERE, n, ring)

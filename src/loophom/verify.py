@@ -606,19 +606,17 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
     """Run one named suite (or "all") over the requested dimensions/rings."""
     if suite == "all":
         names = SUITE_NAMES
-    elif suite in SUITES:
+    elif suite in SUITE_NAMES:  # a tuple, so the suite is compared, not hashed
         names = (suite,)
     else:
-        raise DomainError(
-            f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all"
-        )
+        raise DomainError(f"unknown suite {_shown(suite)}; choose from {', '.join(SUITE_NAMES)} or all")
     for flag, bound in (("degree", degree_bound), ("power", power_bound)):
         if bound is not None and type(bound) is not int:
             raise DomainError(f"{flag} bound must be an int, got {_shown(bound)}")
         if bound is not None and not 0 <= bound <= SWEEP_BOUND:
             side = ">= 0" if bound < 0 else f"<= {SWEEP_BOUND}"
             raise DomainError(f"{flag} bound must be {side}, got {_shown(bound)}")
-    ns = tuple(ns) if ns else DEFAULT_NS
+    ns = _as_tuple(ns, "ns") if ns else DEFAULT_NS
     seen = set()
     for n in ns:
         _check_digits(n)  # before n is printed
@@ -627,7 +625,7 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
         seen.add(n)
     if len(ns) > MAX_NS:
         raise DomainError(f"at most {MAX_NS} distinct values of n may be given, got {len(ns)}")
-    rings = tuple(rings) if rings else (RING_Q, RING_Z)
+    rings = _as_tuple(rings, "rings") if rings else (RING_Q, RING_Z)
     for i, ring in enumerate(rings):
         if ring not in (RING_Q, RING_Z):
             raise DomainError(f"unknown ring {_shown(ring)} (use Q or Z)")
@@ -650,3 +648,11 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
     bound_note = f", degree bound {degree_bound}" if degree_bound is not None else ""
     title = f"verify {suite}: n in {list(ns)}, rings {list(rings)}{bound_note}"
     return Report(title, checks)
+
+
+def _as_tuple(values, name: str) -> tuple:
+    """tuple(values), or DomainError naming the argument when the values are not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError(f"{name} must be iterable, got {_shown(values)}") from None

@@ -26,7 +26,7 @@ from loophom import (
     sphere_space,
     verify,
 )
-from loophom.core import POWER_BITS, POWER_TERMS, POWER_WORK
+from loophom.core import FRACTION_WORK, POWER_BITS, POWER_TERMS, POWER_WORK, check_work
 from loophom.expr import MAX_NESTING, MAX_PRODUCT_PAIRS, EvalContext, evaluate
 from loophom.spaces import MAX_N_DIGITS
 
@@ -629,6 +629,35 @@ def test_eval_product_of_nine_big_powers_is_refused_at_once(factor: str) -> None
     _refused_within_a_second(
         "*".join([factor] * 9), "--n", "3", ceiling=f"a product needs term products of more than {POWER_WORK} bits"
     )
+
+
+@pytest.mark.parametrize("count", [2, 3, 8])
+def test_eval_product_of_big_fractions_is_refused_at_once(count: int) -> None:
+    # the first product runs gcds of 1,047,661-bit numbers: 2.4 s for two factors, about 70 s for eight, when
+    # only POWER_WORK's linear charge was checked
+    _refused_within_a_second(
+        "*".join(["(2/3)^661000"] * count), "--n", "3", ceiling=f"fractional term products of more than {FRACTION_WORK}"
+    )
+
+
+def test_eval_square_of_a_sum_of_big_fractions_is_refused_at_once() -> None:
+    # 951K bits in two terms: POWER_BITS refused only the square, after 0.96 s of gcds
+    square = "((2/3)^300000*x+(3/2)^300000)^2"
+    _refused_within_a_second(square, "--space", "omega", "--n", "3", ceiling=f"more than {FRACTION_WORK} bit pairs")
+
+
+def test_the_fraction_ceiling_charges_every_pair_that_holds_a_fraction() -> None:
+    a, b = 1 << 19, 1 << 20  # a * b is FRACTION_WORK; check_work forms no product, so these sizes cost nothing
+    check_work(Fraction(1, 2 ** (a - 1)), Fraction(3, 2 ** (b - 1)), "a product")
+    check_work(2 ** (b - 1), 2 ** (b - 1), "a product")  # two integers pay the linear charge alone
+    with pytest.raises(DomainError, match=f"^a product needs fractional term products of more than {FRACTION_WORK} "):
+        check_work(Fraction(1, 2**a), Fraction(3, 2 ** (b - 1)), "a product")
+    # a fraction times an integer runs a gcd too; of an integral term and an integer, only the fraction pays
+    space = loop_space(3, "Q")
+    x = space.normalize([(2 ** (b - 1), space.monomial((0, 1))), (Fraction(1, 2 ** (a - 1)), 0)])
+    check_work(x, 2 ** (b - 1), "a product")
+    with pytest.raises(DomainError, match="fractional term products"):
+        check_work(x, 2**b, "a product")
 
 
 def test_products_up_to_the_pair_ceiling() -> None:

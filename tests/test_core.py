@@ -472,9 +472,9 @@ def test_checks_survive_a_warm_monomial_memo(ring: str) -> None:
 
 def test_generator_keeps_its_defaults_and_keywords() -> None:
     g = Generator("x", 2)
-    assert (g.name, g.shifted, g.nilpotent, g.theta_sign) == ("x", 2, False, 1)
-    assert Generator("A", shifted=-3, nilpotent=True, theta_sign=-1) == Generator("A", -3, True, -1)
-    assert Generator(name="U", shifted=2, theta_sign=-1).nilpotent is False
+    assert (g.name, g.shifted, g.nilpotent) == ("x", 2, False)
+    assert Generator("A", shifted=-3, nilpotent=True) == Generator("A", -3, True)
+    assert Generator(name="U", shifted=2).nilpotent is False
     with pytest.raises(AttributeError):
         g.name = "y"
 

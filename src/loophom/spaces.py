@@ -167,7 +167,8 @@ class BettiTable(namedtuple("BettiTable", "space n ring group max_degree rows"))
 def _check_digits(n: int) -> None:
     if type(n) is not int:  # a float or bool equal to an int n would build a space labelled with it
         raise DomainError(f"n must be an int, got {_shown(n)}")
-    if abs(n) >= 10**MAX_N_DIGITS:
+    # 10**MAX_N_DIGITS has more than 3 * MAX_N_DIGITS bits, so only a longer n needs it built (about 40 us)
+    if n.bit_length() > 3 * MAX_N_DIGITS and abs(n) >= 10**MAX_N_DIGITS:
         raise DomainError(f"n must have at most {MAX_N_DIGITS} digits")
 
 

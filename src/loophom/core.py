@@ -458,6 +458,9 @@ def is_scalar(value) -> bool:
 POWER_BITS = 1 << 20
 #: most terms a power may have; squaring costs the square of the count, and coefficient bits barely grow
 POWER_TERMS = 128
+#: most term pairs a product of two classes may multiply, checked by `check_work` before POWER_WORK; a chain of
+#: products grows by one factor's terms each time, and two powers under POWER_TERMS always pass it
+MAX_PRODUCT_PAIRS = 1 << 16
 #: most coefficient bits the term products of one product may hold in all: len(y) * bits(x) +
 #: len(x) * bits(y) for x * y.  `check_work` checks it before each step of a power and before each
 #: product `expr` forms, so a costly product is refused, not made; two single terms under POWER_BITS
@@ -465,7 +468,8 @@ POWER_TERMS = 128
 POWER_WORK = 8 * POWER_BITS
 #: most bit pairs the term pairs of one product that hold a fraction may cost in all: bits(c1) * bits(c2) for
 #: each such pair of coefficients, since multiplying c1 and c2 runs gcds whose time grows as that product.
-#: `check_work` checks it after POWER_WORK; two factors (2/3)^470000, of 745K bits each, took 1.1 s on 2 vCPUs
+#: `check_work` checks it after POWER_WORK; two factors (2/3)^470000, of 745K bits each, took 1.1 s on 2 vCPUs.
+#: `check_sum` charges the coefficient pairs a sum adds against it too
 FRACTION_WORK = 1 << 39
 
 
@@ -473,11 +477,12 @@ def power(base, k):
     """base**k of a scalar or an `Element`: the unit for k = 0, base itself for k = 1.
 
     A scalar or a one-term element of a space goes in closed form (`_term_power`), forming no product.
-    Any other element goes by square-and-multiply, at most 2*log2(k) products, each checked first by
-    `check_work`; so does a quotient class, whose powers are transfer products.  DomainError once a
-    partial power has more than POWER_TERMS terms or coefficients of more than POWER_BITS bits.  The
-    closed form makes the checks the loop would make, with the same messages, and refuses before
-    computing when the coefficient's least possible size is already past POWER_BITS.
+    Any other element goes by square-and-multiply, and so does a quotient class, whose powers are
+    transfer products: at most 2*log2(k) products, each priced first by `check_work`, so a power gets
+    the verdict of the products it forms.  DomainError once a partial power has more than POWER_TERMS terms or
+    coefficients of more than POWER_BITS bits.  The closed form makes the loop's first check, of
+    base * base, and refuses before computing when the coefficient's least possible size is already
+    past POWER_BITS; every power that refusal accepts passes the loop's later checks too.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"exponent must be a natural number, got {_int_str(k) if type(k) is int else repr(k)}")
@@ -485,12 +490,7 @@ def power(base, k):
     if k < 2:
         return base if k else (base.algebra.unit() if isinstance(base, Element) else 1)
     if not isinstance(base, Element) or (type(base) is Element and len(base.terms) == 1):
-        # the loop's first square, and its first multiply when k's second bit is 1, are checked as the loop
-        # checks them; after them its partial powers hold at most POWER_BITS bits, so no later check can fail
-        check_work(base, base, what)
-        if bin(k)[3] == "1":
-            square = base.algebra._multiply(base.terms, base.terms) if isinstance(base, Element) else base * base
-            check_work(square, base, what)
+        check_work(base, base, what)  # the loop's first square: the one check a power that is 0 must pass
         out = _term_power(base, k, what)
         if _bits(_coefficients(out)) > POWER_BITS:
             raise DomainError(f"{what} has coefficients of more than {POWER_BITS} bits in all")
@@ -533,10 +533,16 @@ def _term_power(base, k: int, what: str):
 
 
 def check_work(x, y, what: str) -> None:
-    """DomainError, naming `what`, when the term products of x * y (scalars or `Element`s) would hold
-    more than POWER_WORK coefficient bits in all, or their term pairs that hold a fraction would cost
-    more than FRACTION_WORK bit pairs in all."""
+    """The one price of a product x * y of scalars or `Element`s: DomainError, naming `what`, when two
+    classes would multiply more than MAX_PRODUCT_PAIRS pairs of terms (a scalar only scales, so it
+    pays no pairs), when the term products would hold more than POWER_WORK coefficient bits in all,
+    or when the term pairs that hold a fraction would cost more than FRACTION_WORK bit pairs in all."""
     cx, cy = _coefficients(x), _coefficients(y)
+    if isinstance(x, Element) and isinstance(y, Element) and len(cx) * len(cy) > MAX_PRODUCT_PAIRS:
+        raise DomainError(
+            f"{what} of a {len(cx)}-term and a {len(cy)}-term class multiplies more than "
+            f"{MAX_PRODUCT_PAIRS} pairs of terms"
+        )
     bx, by = _bits(cx), _bits(cy)
     if len(cy) * bx + len(cx) * by > POWER_WORK:
         raise DomainError(f"{what} needs term products of more than {POWER_WORK} bits in all")
@@ -546,6 +552,21 @@ def check_work(x, y, what: str) -> None:
         pairs -= _bits(c for c in cx if c.denominator == 1) * _bits(c for c in cy if c.denominator == 1)
         if pairs > FRACTION_WORK:
             raise DomainError(f"{what} needs fractional term products of more than {FRACTION_WORK} bit pairs in all")
+
+
+def check_sum(x, y, what: str) -> None:
+    """DomainError, naming `what`, when the coefficient sums of x + y (two scalars or two `Element`s) that hold a
+    fraction would cost more than FRACTION_WORK bit pairs in all: bits(c1) * bits(c2) for each monomial of y that
+    x also holds, since adding c1 and c2 runs gcds whose time grows as that product.  Integer sums pay nothing.
+    Only y's terms are visited, as `Element._fold` visits them, so a long chain of sums stays linear."""
+    left, right = (v.terms if isinstance(v, Element) else {0: v} for v in (x, y))
+    pairs = 0
+    for mono, c2 in right.items():
+        c1 = left.get(mono)
+        if c1 is not None and not (type(c1) is int and type(c2) is int):
+            pairs += _bits((c1,)) * _bits((c2,))
+    if pairs > FRACTION_WORK:
+        raise DomainError(f"{what} needs fractional term sums of more than {FRACTION_WORK} bit pairs in all")
 
 
 def _coefficients(value):

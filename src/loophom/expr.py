@@ -16,7 +16,10 @@ quotient): names must exist in the active space, q/tr/P need a group, the
 j-maps need the matching source space.  Values are exact scalars (int or
 Fraction) or `Element`s: homology classes, or quotient classes, the
 `QElement`s of a `Quotient`.  Two values of one kind add and multiply; a
-scalar adds to a homology class only, as a multiple of its unit.
+scalar adds to a homology class only, as a multiple of its unit.  Every
+product, `P`, `POmega` and A-product is priced by `core.check_work`, and
+every sum by `core.check_sum`, before it is formed; a power is priced by
+`core.power`, step by step.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .core import DomainError, Element, StructureError, check_work, int_from_digits, power, scalar_str
+from .core import DomainError, Element, StructureError, check_sum, check_work, int_from_digits, power, scalar_str
 from .equivariant import QElement, Quotient, a_product, eta_class, mu_class, quotient
 from .maps import ev_star, j_shriek, j_star, theta_star
 from .spaces import LOOP, OMEGA, Space, based_loop_space, loop_space
@@ -51,8 +54,6 @@ Token = namedtuple("Token", "kind text line col")
 
 #: deepest nesting of parentheses and calls; parsing and evaluation recurse once per level
 MAX_NESTING = 100
-#: most term pairs a product of two classes may multiply; a chain of products grows by one factor's terms each time
-MAX_PRODUCT_PAIRS = 1 << 16
 
 
 #: a number (ASCII digits only: int() would read other digits, like '²', differently), a word, an operator,
@@ -310,7 +311,6 @@ class EvalContext:
         if a.algebra is not b.algebra:
             raise StructureError(f"{fn}(...) arguments live on different quotients")
         quot = a.algebra
-        _check_pairs(a.terms, b.terms)
         check_work(a, b, "a product")
         if fn == "P":
             if quot.space.kind != LOOP:
@@ -337,20 +337,18 @@ class EvalContext:
             lv = rv.algebra.unit() * lv
         if isinstance(rv, (int, Fraction)) and type(lv) is Element:
             rv = lv.algebra.unit() * rv
-        if isinstance(lv, (int, Fraction)) and isinstance(rv, (int, Fraction)):
-            return _as_int(op(lv, rv))
-        if type(lv) is type(rv) and isinstance(lv, Element):
-            return op(lv, rv)
-        raise DomainError(
-            f"cannot {'add' if node.op == '+' else 'subtract'} "
-            f"{_kind_name(lv)} and {_kind_name(rv)}"
-        )
+        scalars = isinstance(lv, (int, Fraction)) and isinstance(rv, (int, Fraction))
+        if not scalars and not (type(lv) is type(rv) and isinstance(lv, Element)):
+            raise DomainError(
+                f"cannot {'add' if node.op == '+' else 'subtract'} "
+                f"{_kind_name(lv)} and {_kind_name(rv)}"
+            )
+        check_sum(lv, rv, "a sum")
+        return _as_int(op(lv, rv))
 
     def _mul(self, node: Bin, lv, rv):
-        if isinstance(lv, Element) and isinstance(rv, Element):
-            if type(lv) is not type(rv):
-                raise DomainError(f"cannot multiply {_kind_name(lv)} and {_kind_name(rv)}")
-            _check_pairs(lv.terms, rv.terms)  # two homology classes, or two quotient classes and the transfer product
+        if isinstance(lv, Element) and isinstance(rv, Element) and type(lv) is not type(rv):
+            raise DomainError(f"cannot multiply {_kind_name(lv)} and {_kind_name(rv)}")
         check_work(lv, rv, "a product")
         return _as_int(lv * rv)  # classes of both kinds take scalars
 
@@ -378,15 +376,6 @@ class EvalContext:
         if isinstance(node, Call):
             return self._call(node)
         raise StructureError(f"unknown syntax node {node!r}")
-
-
-def _check_pairs(left: dict, right: dict) -> None:
-    """DomainError when a product of classes with these terms would multiply more than MAX_PRODUCT_PAIRS pairs."""
-    if len(left) * len(right) > MAX_PRODUCT_PAIRS:
-        raise DomainError(
-            f"a product of a {len(left)}-term and a {len(right)}-term class multiplies more than "
-            f"{MAX_PRODUCT_PAIRS} pairs of terms"
-        )
 
 
 def _kind_name(value) -> str:

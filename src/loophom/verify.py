@@ -616,7 +616,7 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
         if bound is not None and not 0 <= bound <= SWEEP_BOUND:
             side = ">= 0" if bound < 0 else f"<= {SWEEP_BOUND}"
             raise DomainError(f"{flag} bound must be {side}, got {_shown(bound)}")
-    ns = _as_tuple(ns, "ns") if ns else DEFAULT_NS
+    ns = DEFAULT_NS if ns is None else _as_tuple(ns, "ns")
     seen = set()
     for n in ns:
         _check_digits(n)  # before n is printed
@@ -625,7 +625,7 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
         seen.add(n)
     if len(ns) > MAX_NS:
         raise DomainError(f"at most {MAX_NS} distinct values of n may be given, got {len(ns)}")
-    rings = _as_tuple(rings, "rings") if rings else (RING_Q, RING_Z)
+    rings = (RING_Q, RING_Z) if rings is None else _as_tuple(rings, "rings")
     for i, ring in enumerate(rings):
         if ring not in (RING_Q, RING_Z):
             raise DomainError(f"unknown ring {_shown(ring)} (use Q or Z)")
@@ -651,8 +651,13 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
 
 
 def _as_tuple(values, name: str) -> tuple:
-    """tuple(values), or DomainError naming the argument when the values are not iterable."""
+    """tuple(values), or DomainError naming the argument when the values are a str, not iterable, or none at all."""
+    if isinstance(values, str):
+        raise DomainError(f"{name} must be a collection, not a str, got {_shown(values)}")
     try:
-        return tuple(values)
+        values = tuple(values)
     except TypeError:
         raise DomainError(f"{name} must be iterable, got {_shown(values)}") from None
+    if not values:
+        raise DomainError(f"{name} must not be empty")
+    return values

@@ -21,8 +21,18 @@ from loophom import (
 )
 from loophom.maps import reversal_flips
 
-#: values that are wrong for most arguments: a float, a bool, None, an unhashable list, and values too long to echo
-BAD = {"3.0": 3.0, "True": True, "None": None, "[3]": [3], "str5000": "x" * 5000, "10**5000": 10**5000}
+#: values that are wrong for most arguments: a float, a bool, None, an unhashable list, zero, the empty str, and values
+#: too long to echo
+BAD = {
+    "3.0": 3.0,
+    "True": True,
+    "None": None,
+    "[3]": [3],
+    "0": 0,
+    '""': "",
+    "str5000": "x" * 5000,
+    "10**5000": 10**5000,
+}
 
 # entry point, whether it returns a cached object, its valid keyword arguments (made lazily), and for each
 # argument the values of BAD that are valid for it
@@ -33,11 +43,13 @@ ENTRIES = {
     "make_space": (make_space, True, lambda: {"kind": "omega", "n": 4, "ring": "Z"}, {}),
     "quotient": (quotient, True, lambda: {"space": loop_space(3, "Q"), "group": dihedral(1)}, {}),
     "Subgroup": (Subgroup, False, lambda: {"m": 2, "reflections": True, "rotation": 0},
-                 {"m": {"10**5000"}, "reflections": {"True"}, "rotation": {"10**5000"}}),
-    "Space.betti": (lambda max_degree: loop_space(3, "Q").betti(max_degree), False, lambda: {"max_degree": 4}, {}),
+                 {"m": {"10**5000"}, "reflections": {"True"}, "rotation": {"10**5000", "0"}}),
+    "Space.betti": (lambda max_degree: loop_space(3, "Q").betti(max_degree), False, lambda: {"max_degree": 4},
+                    {"max_degree": {"0"}}),
     "verify.run": (verify.run, False,
                    lambda: {"suite": "algebra", "ns": [3], "rings": ["Q"], "degree_bound": 0, "power_bound": 0},
-                   {"ns": {"None", "[3]"}, "rings": {"None"}, "degree_bound": {"None"}, "power_bound": {"None"}}),
+                   {"ns": {"None", "[3]"}, "rings": {"None"}, "degree_bound": {"None", "0"},
+                    "power_bound": {"None", "0"}}),
 }
 
 
@@ -79,6 +91,18 @@ def test_an_unhashable_suite_is_refused_not_hashed() -> None:
     # `suite in SUITES` hashed it: TypeError: unhashable type: 'list'
     with pytest.raises(DomainError, match=r"^unknown suite \['all'\]; choose from algebra, "):
         verify.run(["all"])
+
+
+def test_verify_reads_only_none_as_the_default_ns_and_rings() -> None:
+    # a falsy ns ran n = 3..6, and a str of rings ran each of its characters
+    for kwargs, shown in (
+        ({"rings": "QZ"}, "^rings must be a collection, not a str, got 'QZ'$"),
+        ({"ns": "3"}, "^ns must be a collection, not a str, got '3'$"),
+        ({"ns": []}, "^ns must not be empty$"),
+        ({"rings": ()}, "^rings must not be empty$"),
+    ):
+        with pytest.raises(DomainError, match=shown):
+            verify.run("algebra", **{"ns": [3], "rings": ["Q"], "degree_bound": 0, "power_bound": 0, **kwargs})
 
 
 @pytest.mark.parametrize("length", [98, 99, 100, 101, 5000])

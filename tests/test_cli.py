@@ -20,14 +20,24 @@ from loophom import (
     Subgroup,
     based_loop_space,
     cli,
+    core,
     cyclic,
     dihedral,
     loop_space,
     sphere_space,
     verify,
 )
-from loophom.core import FRACTION_WORK, POWER_BITS, POWER_TERMS, POWER_WORK, check_work
-from loophom.expr import MAX_NESTING, MAX_PRODUCT_PAIRS, EvalContext, evaluate
+from loophom.core import (
+    FRACTION_WORK,
+    MAX_PRODUCT_PAIRS,
+    POWER_BITS,
+    POWER_TERMS,
+    POWER_WORK,
+    check_sum,
+    check_work,
+    power,
+)
+from loophom.expr import MAX_NESTING, EvalContext, evaluate
 from loophom.spaces import MAX_N_DIGITS
 
 from oracles import decimal_value
@@ -545,10 +555,19 @@ def test_eval_huge_element_power_is_refused_at_once(argv) -> None:
     _refused_within_a_second(argv[0], "--n", "3", *argv[1:])
 
 
-@pytest.mark.parametrize("argv", [("(x+1)^100000", "--space", "omega"), ("(U+E)^100000",)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("(x+1)^100000", "--space", "omega"),
+        ("(U+E)^100000",),
+        ("(" + "+".join(f"x^{k}" for k in range(1, 2001)) + ")^2", "--space", "omega"),
+    ],
+)
 def test_eval_power_of_a_sum_is_refused_at_once(argv) -> None:
-    # binomial coefficients grow by a bit per unit of exponent, so the term count trips first
-    _refused_within_a_second(argv[0], "--n", "3", *argv[1:], ceiling=f"more than {POWER_TERMS} terms")
+    # binomial coefficients grow by a bit per unit of exponent, so the term count trips first; a base too wide to
+    # square is priced like the product of two copies of it, so its 4,000,000 term pairs are refused unformed
+    ceiling = "pairs of terms" if argv[0].endswith(")^2") else f"more than {POWER_TERMS} terms"
+    _refused_within_a_second(argv[0], "--n", "3", *argv[1:], ceiling=ceiling)
 
 
 @pytest.mark.parametrize("argv", [("(U+E)^",), ("(2*U)^",), ("2^",), ("mu^", "--group", "D1")])
@@ -646,6 +665,31 @@ def test_eval_square_of_a_sum_of_big_fractions_is_refused_at_once() -> None:
     _refused_within_a_second(square, "--space", "omega", "--n", "3", ceiling=f"more than {FRACTION_WORK} bit pairs")
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_eval_sum_of_big_fractions_is_refused_at_once(count: int) -> None:
+    # adding two 1,047,661-bit fractions runs gcds as their product does: 1.15 s for two summands, 3.0 s for four
+    ceiling = f"a sum needs fractional term sums of more than {FRACTION_WORK}"
+    _refused_within_a_second("+".join(["(2/3)^661000"] * count), "--n", "3", ceiling=ceiling)
+
+
+def test_the_sum_ceiling_charges_the_shared_monomials_that_hold_a_fraction() -> None:
+    a, b = 1 << 19, 1 << 20  # a * b is FRACTION_WORK; check_sum forms no sum, so these sizes cost nothing
+    check_sum(Fraction(1, 2 ** (a - 1)), Fraction(3, 2 ** (b - 1)), "a sum")
+    check_sum(2 ** (b - 1), 2 ** (b - 1) + 1, "a sum")  # integer sums pay nothing
+    with pytest.raises(DomainError, match=f"^a sum needs fractional term sums of more than {FRACTION_WORK} bit pairs"):
+        check_sum(Fraction(1, 2 ** (a - 1)), 2**b, "a sum")
+    space = loop_space(3, "Q")
+    u = space.monomial((0, 1))
+    x = space.normalize([(Fraction(1, 2 ** (a - 1)), u), (2**b, 0)])
+    y = space.normalize([(2**b, u)])
+    check_sum(x, space.normalize([(Fraction(1, 2 ** (b - 1)), 2 * u)]), "a sum")  # no monomial in common
+    check_sum(x, space.normalize([(2**b, 0)]), "a sum")  # two integers share the unit
+    with pytest.raises(DomainError, match="fractional term sums"):
+        check_sum(x, y, "a sum")
+    with pytest.raises(DomainError, match="fractional term sums"):
+        check_sum(y, x, "a sum")
+
+
 def test_the_fraction_ceiling_charges_every_pair_that_holds_a_fraction() -> None:
     a, b = 1 << 19, 1 << 20  # a * b is FRACTION_WORK; check_work forms no product, so these sizes cost nothing
     check_work(Fraction(1, 2 ** (a - 1)), Fraction(3, 2 ** (b - 1)), "a product")
@@ -685,6 +729,36 @@ def test_products_up_to_the_pair_ceiling() -> None:
     d1_ctx = EvalContext(loop_space(3, "Q"), dihedral(1))
     with pytest.raises(DomainError, match="pairs of terms"):
         evaluate(f"Avartheta(q{powers('U', 513, 2)}, q{powers('U', 128, 2)})", d1_ctx)
+
+
+def test_powers_pass_the_pair_ceiling_of_their_products(monkeypatch) -> None:
+    ctx = EvalContext(based_loop_space(3, "Q"))
+    side = math.isqrt(MAX_PRODUCT_PAIRS)
+    wide = "(" + "+".join(f"x^{k}" for k in range(1, side + 1)) + ")"
+    # side * side pairs is the ceiling itself: the square is formed, and its 2 * side - 1 terms are refused
+    with pytest.raises(DomainError, match=f"^a power with exponent 2 has more than {POWER_TERMS} terms$"):
+        evaluate(f"{wide}^2", ctx)
+    wider = "(" + "+".join(f"x^{k}" for k in range(1, side + 2)) + ")"
+    base = evaluate(wider, ctx)
+
+    def refuse(*args):
+        raise AssertionError("a power past the pair ceiling formed a product")
+
+    monkeypatch.setattr(core.Algebra, "_multiply", refuse)
+    pairs = f"of a {side + 1}-term and a {side + 1}-term class multiplies more than {MAX_PRODUCT_PAIRS} pairs"
+    with pytest.raises(DomainError, match=f"^a power with exponent 2 {pairs}"):
+        power(base, 2)
+    with pytest.raises(DomainError, match=f"^a product {pairs}"):
+        evaluate(f"{wider}*{wider}", ctx)
+
+
+def test_a_square_that_is_zero_is_priced_like_the_product_it_forms() -> None:
+    # A^2 = 0, so every pair of this class's terms multiplies to 0; s^2 printed 0 while s*s was refused
+    ctx = EvalContext(loop_space(3, "Q"))
+    s = "(" + "+".join(f"A*U^{k}" for k in range(1, 301)) + ")"
+    for text in (f"{s}^2", f"{s}*{s}"):
+        with pytest.raises(DomainError, match="of a 300-term and a 300-term class multiplies more than"):
+            evaluate(text, ctx)
 
 
 def test_eval_power_with_long_coefficients_is_refused_at_once() -> None:

@@ -87,12 +87,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "suite", help=f"one of {', '.join(verify_mod.SUITE_NAMES)}, or all"
     )
+    ns = " ".join(map(str, verify_mod.DEFAULT_NS))
     p_verify.add_argument(
-        "--n", type=_int_flag, action="append", help="sphere dimension (repeatable)"
+        "--n", type=_int_flag, action="append", help=f"sphere dimension (repeatable; default {ns})"
     )
-    p_verify.add_argument("--ring", choices=("Q", "Z"), default=None)
-    p_verify.add_argument("--degree-bound", type=_int_flag, default=None)
-    p_verify.add_argument("--power-bound", type=_int_flag, default=None)
+    p_verify.add_argument(
+        "--ring", choices=("Q", "Z"), default=None,
+        help="ring of the suites on spaces (default both); the suites on quotients always run over Q",
+    )
+    p_verify.add_argument(
+        "--degree-bound", type=_int_flag, default=None,
+        help=f"degree bound of the suites, at most {verify_mod.SWEEP_BOUND} (default {verify_mod.SWEEP_BOUND} for "
+        f"transfer and main-theorem, {verify_mod.PRODUCT_BOUND} for the others)",
+    )
+    p_verify.add_argument(
+        "--power-bound", type=_int_flag, default=None,
+        help=f"highest power of a nonnilpotent class, at most {verify_mod.SWEEP_BOUND} "
+        f"(default {verify_mod.POWER_BOUND})",
+    )
 
     return parser
 

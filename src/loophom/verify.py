@@ -6,8 +6,9 @@ suite returns `Check` records — one per identity and context, carrying the
 first counterexample on failure — and `run` assembles them into a `Report`
 with stable, printable lines and an overall verdict.
 
-Default bounds: product identities up to total degree 60, transfer axioms
-and stability/bijectivity sweeps up to degree 100, powers of nonnilpotent
+Default bounds: the `transfer` and `main-theorem` suites run to degree 100
+(`SWEEP_BOUND`) and every other suite to degree 60 (`PRODUCT_BOUND`), the
+*Theta bijection sweep of `presentation` included; powers of nonnilpotent
 classes up to 25, reversal signs on Pontrjagin powers up to 40.  `run`
 resolves the degree and power bounds; each suite takes them as given.
 """
@@ -157,6 +158,22 @@ def _table(items, bound: int, product):
     return indexed, {(i, j): product(x, y) for dx, x, i, dy, y, j in _pairs(indexed, bound)}
 
 
+def _associativity(items, table, bound: int, product):
+    """(u, v, w, (u*v)*w, u*(v*w)) over `_triples(items, bound)`, in its order, for `_table`'s items and table,
+    which holds v*w too, since d_v + d_w <= bound on every triple.  Each outer product is formed once per distinct
+    pair of factors: equal table entries share one key, and each side keeps its products by (key, index)."""
+    keys = {}  # each distinct table entry, by value -> its key
+    key = {ij: keys.setdefault(p, len(keys)) for ij, p in table.items()}
+    left, right = {}, {}  # (key of u*v, index of w) -> (u*v)*w and (index of u, key of v*w) -> u*(v*w)
+    for du, u, i, dv, v, j, dw, w, k in _triples(items, bound):
+        lk, rk = (key[i, j], k), (i, key[j, k])
+        if lk not in left:
+            left[lk] = product(table[i, j], w)
+        if rk not in right:
+            right[rk] = product(u, table[j, k])
+        yield u, v, w, left[lk], right[rk]
+
+
 def _powers(x, k_max: int):
     """(k, x^k) for k = 0..k_max, from the unit of x's algebra, each power one product after the last."""
     return enumerate(accumulate(repeat(x, k_max), operator.mul, initial=x.algebra.unit()))
@@ -191,10 +208,10 @@ def suite_algebra(n, rings, D, K):
                     f"{tag}: v*u = (-1)^((deg u - n)(deg v - n)) u*v, total degree <= {D}", _pairs(items, D),
                     lambda du, u, i, dv, v, j: uv[j, i] != _sign((du - n) * (dv - n)) * uv[i, j]
                     and f"u={u}, v={v}"))
-            # d_j + d_k <= D on every triple, so uv holds v*w too
             checks.append(_check(
-                f"{tag}: (u*v)*w = u*(v*w) on basis triples, total degree <= {D}", _triples(items, D),
-                lambda du, u, i, dv, v, j, dw, w, k: uv[i, j] * w != u * uv[j, k] and f"u={u}, v={v}, w={w}"))
+                f"{tag}: (u*v)*w = u*(v*w) on basis triples, total degree <= {D}",
+                _associativity(items, uv, D, operator.mul),
+                lambda u, v, w, uv_w, u_vw: uv_w != u_vw and f"u={u}, v={v}, w={w}"))
 
     # torsion lives exactly in degrees 2r(n-1), and only over Z, n even
     if RING_Z in rings:
@@ -429,9 +446,8 @@ def suite_quotient_product(n, rings, D, K):
                    lambda d, a: (q.product(e, a) != a or q.product(a, e) != a) and f"a={a}"),
             _check(f"{tag}: P(b,a) = (-1)^((deg a - n)(deg b - n)) P(a,b), total degree <= {D}", _pairs(items, D),
                    lambda da, a, i, db, b, j: ab[j, i] != _sign((da - n) * (db - n)) * ab[i, j] and f"a={a}, b={b}"),
-            _check(f"{tag}: P(P(a,b),c) = P(a,P(b,c)), total degree <= {D}", _triples(items, D),
-                   lambda da, a, i, db, b, j, dc, c, k: q.product(ab[i, j], c) != q.product(a, ab[j, k])
-                   and f"a={a}, b={b}, c={c}"),
+            _check(f"{tag}: P(P(a,b),c) = P(a,P(b,c)), total degree <= {D}", _associativity(items, ab, D, q.product),
+                   lambda a, b, c, ab_c, a_bc: ab_c != a_bc and f"a={a}, b={b}, c={c}"),
         ]
     return checks
 

@@ -138,6 +138,17 @@ def test_eval_expression_with_a_leading_minus_goes_after_a_double_dash(capsys) -
     assert "goes after '--'" in capsys.readouterr().out
 
 
+def test_verify_help_names_the_defaults(capsys) -> None:
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    out = " ".join(capsys.readouterr().out.split())  # argparse wraps help text at the terminal's width
+    sweep, product, power = verify.SWEEP_BOUND, verify.PRODUCT_BOUND, verify.POWER_BOUND
+    assert f"sphere dimension (repeatable; default {' '.join(map(str, verify.DEFAULT_NS))})" in out
+    assert "(default both); the suites on quotients always run over Q" in out
+    assert f"at most {sweep} (default {sweep} for transfer and main-theorem, {product} for the others)" in out
+    assert f"highest power of a nonnilpotent class, at most {sweep} (default {power})" in out
+
+
 def test_group_parsing(capsys) -> None:
     for text, order in (("C3", 3), ("D4", 8), ("theta", 2)):
         assert cli.parse_group(text).order == order

@@ -3,7 +3,20 @@ sides computed apart, so a wrong map, transfer or product makes it fail with a c
 
 from __future__ import annotations
 
-from loophom import based_loop_space, core, dihedral, equivariant, quotient, verify
+from loophom import (
+    based_loop_space,
+    core,
+    cyclic,
+    dihedral,
+    equivariant,
+    loop_space,
+    quotient,
+    sphere_space,
+    theta_group,
+    verify,
+)
+
+ASSOCIATIVITY = ("(u*v)*w = u*(v*w)", "P(P(a,b),c) = P(a,P(b,c))")
 
 
 def _failed(report, label_start: str) -> list:
@@ -124,3 +137,103 @@ def test_a_based_quotient_without_the_kernel_of_q_fails_q_of_x(monkeypatch) -> N
         monkeypatch.setattr(quotient(based_loop_space(n, "Q"), dihedral(1)), "_keep", 0)
     report = verify.run("all", ns=[3, 4], degree_bound=12, power_bound=4)
     assert [c.line() for c in report.checks if not c.passed] == ["[FAIL] OS^3/D1: q(x) = 0", "[FAIL] OS^4/D1: q(x) = 0"]
+
+
+def _consume_cases(monkeypatch, products=()):
+    """{label: (cases, calls)} for each check run after this: its cases are counted, and `calls` is how many calls
+    of the methods (class, name) in `products` the check made, forming its cases and judging them."""
+    calls = [0]
+    for cls, name in products:
+        method = getattr(cls, name)
+
+        def counted(*args, method=method):
+            calls[0] += 1
+            return method(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    seen = {}
+    check = verify._check
+
+    def consuming(label, cases, fails):
+        before = calls[0]
+        cases = list(cases)
+        out = check(label, cases, fails)
+        seen[label] = len(cases), calls[0] - before
+        return out
+
+    monkeypatch.setattr(verify, "_check", consuming)
+    return seen
+
+
+def _basis_triples(alg, bound: int) -> int:
+    """How many triples of basis classes of `alg` have degrees summing to <= bound, from the ranks by degree."""
+    ranks = [len(alg.basis(d)) for d in range(bound + 1)]
+    return sum(ranks[a] * ranks[b] * ranks[c]
+               for a in range(bound + 1) for b in range(bound + 1 - a) for c in range(bound + 1 - a - b))
+
+
+def test_each_associativity_check_judges_every_basis_triple_once(monkeypatch) -> None:
+    seen = _consume_cases(monkeypatch)
+    verify.run("algebra", ns=[3], rings=["Q"], degree_bound=30)
+    verify.run("quotient-product", ns=[3], degree_bound=30)
+    counted = {label.split(": ")[0]: cases for label, (cases, _) in seen.items()
+               if label.split(": ")[1].startswith(ASSOCIATIVITY)}
+    loop = loop_space(3, "Q")
+    algebras = [loop, based_loop_space(3, "Q"), sphere_space(3, "Q")]
+    tags = [alg.label for alg in algebras]
+    for group in (dihedral(1), dihedral(2), theta_group(), cyclic(3)):
+        algebras.append(quotient(loop, group))
+        tags.append(f"LS^3/{group.label}")
+    assert counted == {tag: _basis_triples(alg, 30) for tag, alg in zip(tags, algebras)}
+    assert [counted[tag] for tag in ("H(LS^3;Q)", "H(OS^3;Q)", "LS^3/C3", "LS^3/D1", "LS^3/D2", "LS^3/theta")] == [
+        4147, 816, 4147, 680, 680, 680]
+
+
+def test_loop_associativity_forms_each_distinct_outer_product_once(monkeypatch) -> None:
+    # one product per distinct (value of u*v, w) and one per distinct (u, value of v*w), counted here by value
+    loop = loop_space(3, "Q")
+    basis = [(d, loop.monomial_element(m)) for d in range(31) for m in loop.basis(d)]
+    pairs = {(u, v): u * v for du, u in basis for dv, v in basis if du + dv <= 30}
+    triples = [(u, v, w) for du, u in basis for dv, v in basis for dw, w in basis if du + dv + dw <= 30]
+    expected = len({(pairs[u, v], w) for u, v, w in triples}) + len({(u, pairs[v, w]) for u, v, w in triples})
+    assert expected < 2 * len(triples)
+    seen = _consume_cases(monkeypatch, [(core.Element, "__mul__")])
+    verify.run("algebra", ns=[3], rings=["Q"], degree_bound=30)
+    assert seen["H(LS^3;Q): (u*v)*w = u*(v*w) on basis triples, total degree <= 30"] == (len(triples), expected)
+
+
+def test_a_product_wrong_on_one_pair_fails_associativity_at_the_first_triple_that_forms_it(monkeypatch) -> None:
+    # a fault keyed on the factors' values, so an outer product formed once per distinct pair of factors meets it
+    # where forming two products per triple did: the first counterexample is the same one
+    loop = loop_space(3, "Q")
+    u2, a = loop.generator("U") ** 2, loop.generator("A")
+    mul = core.Element.__mul__
+
+    def wrong(self, other):  # doubled on the one pair (U^2, A)
+        out = mul(self, other)
+        return out * 2 if self == u2 and other == a else out
+
+    monkeypatch.setattr(core.Element, "__mul__", wrong)
+    report = verify.run("algebra", ns=[3], rings=["Q"], degree_bound=30)
+    assert [c.line() for c in report.checks if not c.passed] == [
+        "[FAIL] H(LS^3;Q): v*u = (-1)^((deg u - n)(deg v - n)) u*v, total degree <= 30  -- u=A, v=U^2",
+        "[FAIL] H(LS^3;Q): (u*v)*w = u*(v*w) on basis triples, total degree <= 30  -- u=U, v=U, w=A",
+    ]
+
+
+def test_a_transfer_product_wrong_on_one_pair_fails_associativity_at_the_first_triple_that_forms_it(
+        monkeypatch) -> None:
+    q = quotient(loop_space(3, "Q"), dihedral(1))
+    u2, a = q.project(q.space.generator("U") ** 2), q.project(q.space.generator("A"))
+    product = equivariant.Quotient.product
+
+    def wrong(self, x, y):  # doubled on the one pair (q(U^2), q(A)) of LS^3/D1
+        out = product(self, x, y)
+        return out * 2 if self is q and x == u2 and y == a else out
+
+    monkeypatch.setattr(equivariant.Quotient, "product", wrong)
+    report = verify.run("quotient-product", ns=[3], degree_bound=30)
+    assert [c.line() for c in report.checks if not c.passed] == [
+        "[FAIL] LS^3/D1: P(b,a) = (-1)^((deg a - n)(deg b - n)) P(a,b), total degree <= 30  -- a=q(A), b=q(U^2)",
+        "[FAIL] LS^3/D1: P(P(a,b),c) = P(a,P(b,c)), total degree <= 30  -- a=q(E), b=q(U^2), c=q(A)",
+    ]

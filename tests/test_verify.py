@@ -172,7 +172,7 @@ def _basis_triples(alg, bound: int) -> int:
                for a in range(bound + 1) for b in range(bound + 1 - a) for c in range(bound + 1 - a - b))
 
 
-def test_each_associativity_check_judges_every_basis_triple_once(monkeypatch) -> None:
+def test_each_associativity_check_judges_one_case_per_basis_triple(monkeypatch) -> None:
     seen = _consume_cases(monkeypatch)
     verify.run("algebra", ns=[3], rings=["Q"], degree_bound=30)
     verify.run("quotient-product", ns=[3], degree_bound=30)

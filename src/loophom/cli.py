@@ -6,9 +6,9 @@ Commands:
     loophom betti --space loop --n 4 --ring Z --max-degree 20 --format json
     loophom verify all --n 3 --n 4
 
-Exit status: 0 on success, 1 when a verify check fails, 2 on usage, syntax,
-or domain errors.  All numeric output is exact (integers or p/q); JSON is
-byte-deterministic for fixed flags.
+Exit status: 0 on success; 1 when a verify check fails, a suite that raises
+included; 2 on refused input (usage, syntax, or domain errors).  All numeric
+output is exact (integers or p/q); JSON is byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations

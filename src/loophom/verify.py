@@ -2,9 +2,10 @@
 
 Each suite checks one cluster of identities by exhaustive enumeration of
 basis classes up to a degree bound, with exact arithmetic throughout.  A
-suite returns `Check` records — one per identity and context, carrying the
-first counterexample on failure — and `run` assembles them into a `Report`
-with stable, printable lines and an overall verdict.
+suite returns `Check` records — one per identity and context, judged by
+`_check`, with the first counterexample on failure and the cases examined
+(`Check.cases`) — and `run` makes them a `Report` of stable, printable lines
+and an overall verdict, in which a suite that raises is one failed check.
 
 Default bounds: the `transfer` and `main-theorem` suites run to degree 100
 (`SWEEP_BOUND`) and every other suite to degree 60 (`PRODUCT_BOUND`), the
@@ -52,8 +53,8 @@ TORSION_POWER_BOUND = 20
 MAX_NS = 16
 
 
-class Check(namedtuple("Check", "label passed detail", defaults=("",))):
-    """One identity in one context; `detail` names the first counterexample."""
+class Check(namedtuple("Check", "label passed detail cases", defaults=("", 0))):
+    """One identity in one context; `detail` names the first counterexample, `cases` counts the cases examined."""
 
     __slots__ = ()
 
@@ -111,12 +112,13 @@ def rank_of(elements, monomials) -> int:
 
 
 def _check(label: str, cases, fails) -> Check:
-    """The check `label`, carrying the first truthy fails(*case) over `cases`, a counterexample's detail."""
-    for case in cases:
+    """Check `label` over `cases`: the first truthy fails(*case) is its detail ("" for True); `cases` counts to it."""
+    count = 0
+    for count, case in enumerate(cases, 1):
         detail = fails(*case)
         if detail:
-            return Check(label, False, detail)
-    return Check(label, True)
+            return Check(label, False, "" if detail is True else detail, count)
+    return Check(label, True, "", count)
 
 
 def _graded(alg, bound: int) -> list:
@@ -312,8 +314,8 @@ def suite_maps(n, rings, D, K):
         want = theta_cls if (n - 1) % 2 == 0 else -theta_cls
         checks.append(_check(f"{loop.label}: theta(Theta) = (-1)^(n-1)*Theta", [(th(theta_cls),)],
                              lambda got: got != want and f"got {got}"))
-        ok = th(loop.generator("A")) == loop.generator("A") and th(loop.unit()) == loop.unit()
-        checks.append(Check(f"{loop.label}: theta fixes A and E", ok, ""))
+        checks.append(_check(f"{loop.label}: theta fixes A and E", [("A",), ("E",)],
+                             lambda name: th(loop.generator(name)) != loop.generator(name)))
 
         chi = chi_star(loop)
         checks.append(_check(f"{loop.label}: chi = identity on degrees <= {D}", ms,
@@ -340,8 +342,8 @@ def suite_maps(n, rings, D, K):
         # evaluation at the basepoint is an algebra map
         checks.append(_check(f"{loop.label}: ev(u*v) = ev(u).ev(v), total degree <= {D}", uvs,
                              lambda u, th_u, ev_u, v, th_v, ev_v, uv: ev(uv) != ev_u * ev_v and f"u={u}, v={v}"))
-        ok = ev(loop.generator("A")) == sphere.generator("pt") and ev(loop.unit()) == sphere.unit()
-        checks.append(Check(f"{loop.label}: ev(A) = pt, ev(E) = fundamental", ok, ""))
+        checks.append(_check(f"{loop.label}: ev(A) = pt, ev(E) = fundamental", [("A", "pt"), ("E", "fundamental")],
+                             lambda u, image: ev(loop.generator(u)) != sphere.generator(image)))
     return checks
 
 
@@ -367,11 +369,11 @@ def suite_gysin(n, rings, D, K):
         ]
 
         x = omega.generator("x")
-        spot = jb(loop.unit()) == omega.unit() and js(omega.unit()) == a_cls
+        spots = [(jb, loop.unit(), omega.unit()), (js, omega.unit(), a_cls), (jb, loop.generator("Theta"), x * x)]
         if n % 2:
-            spot = spot and jb(loop.generator("U")) == x
-        spot = spot and jb(loop.generator("Theta")) == x * x
-        checks.append(Check(f"{tag}: j!(E)=1, j!(Theta)=x^2" + (", j!(U)=x" if n % 2 else "") + ", j*(1)=A", spot, ""))
+            spots.append((jb, loop.generator("U"), x))
+        checks.append(_check(f"{tag}: j!(E)=1, j!(Theta)=x^2" + (", j!(U)=x" if n % 2 else "") + ", j*(1)=A", spots,
+                             lambda mp, u, image: mp(u) != image))
     return checks
 
 
@@ -504,19 +506,16 @@ def suite_theta_vs_vartheta(n, rings, D, K):
     def to_theta(a: QElement) -> QElement:
         return qt.project(chi(a.rep))
 
-    checks = [
+    units = [(qv.unit(), qt.unit()), *([(mu_class(qv), mu_class(qt))] if n % 2 else [])]
+    return [
         _check(f"{tag}: identical invariants on degrees <= {D}",
                ((d, qv.invariants(d), qt.invariants(d)) for d in range(D + 1)),
                lambda d, v, t: v != t and f"degree {d}"),
         _check(f"{tag}: chi intertwines P_vartheta and P_theta, total degree <= {D}",
                _pairs([(d, a, to_theta(a)) for d, a in _graded(qv, D)], D),
                lambda da, a, ta, db, b, tb: to_theta(qv.product(a, b)) != qt.product(ta, tb) and f"a={a}, b={b}"),
+        _check(f"{tag}: units (and mu for n odd) correspond", units, lambda a, b: to_theta(a) != b),
     ]
-    ok = to_theta(qv.unit()) == qt.unit()
-    if n % 2:
-        ok = ok and to_theta(mu_class(qv)) == mu_class(qt)
-    checks.append(Check(f"{tag}: units (and mu for n odd) correspond", ok, ""))
-    return checks
 
 
 def suite_a_products(n, rings, D, K):
@@ -536,25 +535,24 @@ def suite_a_products(n, rings, D, K):
     if n % 2:
         checks.append(_check(f"LS^{n}/D1: A_vartheta = 0 for n odd, total degree <= {D}", vpairs,
                              lambda da, a, db, b: bool(a_product("vartheta", qv, a, b)) and f"a={a}, b={b}"))
-        mu = mu_class(qv)
-        ok = bool(qv.product(mu, mu))
-        checks.append(Check(f"LS^{n}/D1: yet P_vartheta is not zero (P(mu,mu) != 0)", ok, ""))
+        checks.append(_check(f"LS^{n}/D1: yet P_vartheta is not zero (P(mu,mu) != 0)", [(mu_class(qv),)],
+                             lambda mu: not qv.product(mu, mu)))
     else:
         checks.append(_check(f"LS^{n}/D1: (-1)^(n(n-j)) A_vartheta(a,b) = P_vartheta(a,b), total degree <= {D}",
                              vpairs, signed("vartheta", qv)))
     checks.append(_check(f"LS^{n}/theta: (-1)^(n(n-j)) A_theta(a,b) = P_theta(a,b), total degree <= {D}",
                          _pairs(_graded(qt, D), D), signed("theta", qt)))
 
-    # the construction refuses inhomogeneous second arguments
+    def accepts(a, b):  # the construction refuses inhomogeneous second arguments
+        try:
+            a_product("vartheta", qv, a, b)
+        except DomainError:
+            return False
+        return True
+
     a0 = qv.project(loop.generator("A"))
-    e0 = qv.project(loop.unit())
-    mixed = a0 + e0
-    try:
-        a_product("vartheta", qv, a0, mixed)
-        ok = False
-    except DomainError:
-        ok = True
-    checks.append(Check(f"LS^{n}/D1: A-product rejects inhomogeneous b", ok, ""))
+    checks.append(_check(f"LS^{n}/D1: A-product rejects inhomogeneous b", [(a0, a0 + qv.project(loop.unit()))],
+                         accepts))
     return checks
 
 
@@ -583,22 +581,21 @@ def suite_quotient_homs(n, rings, D, K):
     checks = [
         _check(f"{tag}: (ev/G)(P(a,b)) = |G|^2 (ev/G)(a).(ev/G)(b), total degree <= {D}", pab,
                lambda a, ev_a, j_a, b, ev_b, j_b, p: ev_quot(p) != order**2 * (ev_a * ev_b) and f"a={a}, b={b}"),
-        Check(f"{tag}: (ev/G)(e) = fundamental/|G|^2",
-              ev_quot(q.unit()) == sphere_space(n, RING_Q).unit() / order**2),
+        _check(f"{tag}: (ev/G)(e) = fundamental/|G|^2", [(q.unit(),)],
+               lambda e: ev_quot(e) != sphere_space(n, RING_Q).unit() / order**2),
         _check(f"{tag}: (j/G)(P(a,b)) = POmega((j/G)(a),(j/G)(b)), total degree <= {D}", pab,
                lambda a, ev_a, j_a, b, ev_b, j_b, p: j_quot(p) != qo.product(j_a, j_b) and f"a={a}, b={b}"),
-        Check(f"{tag}: (j/G)(e) is the based transfer unit", j_quot(q.unit()) == qo.unit()),
+        _check(f"{tag}: (j/G)(e) is the based transfer unit", [(q.unit(),)], lambda e: j_quot(e) != qo.unit()),
     ]
 
     # spot facts on the based quotient
     x = omega.generator("x")
-    ok = not qo.project(x)
-    checks.append(Check(f"OS^{n}/D1: q(x) = 0", ok, ""))
     k = 2 if n % 2 else 4
-    xk = qo.project(x**k)
-    ok = qo.product(xk, xk) == 4 * qo.project(x ** (2 * k))
-    checks.append(Check(f"OS^{n}/D1: POmega(q(x^{k}),q(x^{k})) = 4*q(x^{2 * k})", ok, ""))
-    return checks
+    return checks + [
+        _check(f"OS^{n}/D1: q(x) = 0", [(x,)], lambda cls: bool(qo.project(cls))),
+        _check(f"OS^{n}/D1: POmega(q(x^{k}),q(x^{k})) = 4*q(x^{2 * k})", [(qo.project(x**k),)],
+               lambda xk: qo.product(xk, xk) != 4 * qo.project(x ** (2 * k))),
+    ]
 
 
 SUITES = {
@@ -655,15 +652,18 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
                 quotient(loop, dihedral(1))
     checks = []
     for name in names:
-        fn = SUITES[name]
         D = degree_bound
         if D is None:
             D = SWEEP_BOUND if name in ("transfer", "main-theorem") else PRODUCT_BOUND
         for n in ns:
-            checks.extend(fn(n, rings, D, K))
+            try:
+                checks.extend(SUITES[name](n, rings, D, K))
+            except Exception as exc:  # one failed check; the suites after it still run
+                checks.append(Check(f"{name}, n = {n}: the suite runs to completion", False,
+                                    f"{type(exc).__name__}: {_shown(str(exc), str)}"))
+    ran = {ring for name in names for ring in ((RING_Q,) if name in QUOTIENT_SUITES else rings)}
     bound_note = f", degree bound {degree_bound}" if degree_bound is not None else ""
-    title = f"verify {suite}: n in {list(ns)}, rings {list(rings)}{bound_note}"
-    return Report(title, checks)
+    return Report(f"verify {suite}: n in {list(ns)}, rings {sorted(ran)}{bound_note}", checks)
 
 
 def _as_tuple(values, name: str) -> tuple:

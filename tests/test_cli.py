@@ -525,7 +525,7 @@ def test_a_bad_integer_flag_keeps_argparse_message(capsys) -> None:
 
 def test_verify_report_reads_its_checks() -> None:
     report = verify.run("main-theorem", ns=[3], degree_bound=10, power_bound=5)
-    assert report.title == "verify main-theorem: n in [3], rings ['Q', 'Z'], degree bound 10"
+    assert report.title == "verify main-theorem: n in [3], rings ['Q'], degree bound 10"
     assert report.passed and all(c.passed and c.detail == "" for c in report.checks)
     lines = [c.line() for c in report.checks]
     assert report.render().splitlines() == [report.title, *lines, f"{len(lines)}/{len(lines)} checks passed"]
@@ -533,6 +533,22 @@ def test_verify_report_reads_its_checks() -> None:
     assert made_up.line() == "[FAIL] made up  -- x=1"
     assert verify.Check("fine", True).detail == ""
     assert not verify.Report("t", [*report.checks, made_up]).passed
+
+
+@pytest.mark.parametrize(
+    "argv, rings",
+    [(("all",), ["Q", "Z"]),
+     (("all", "--ring", "Z"), ["Q", "Z"]),
+     (("quotient-product", "--ring", "Z"), ["Q"]),
+     (("main-theorem",), ["Q"]),
+     (("algebra", "--ring", "Z"), ["Z"])],
+    ids=["all", "all-Z", "quotient-product-Z", "main-theorem", "algebra-Z"],
+)
+def test_verify_title_names_the_rings_its_checks_ran_over(capsys, argv, rings) -> None:
+    # the suites on quotients run over Q whatever --ring says; the suites on spaces run over the rings given
+    code = cli.main(["verify", *argv, "--n", "3", "--degree-bound", "0", "--power-bound", "0"])
+    title = capsys.readouterr().out.splitlines()[0]
+    assert (code, title) == (0, f"verify {argv[0]}: n in [3], rings {rings}, degree bound 0")
 
 
 # ----------------------------------------------------------------------

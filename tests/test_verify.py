@@ -3,8 +3,11 @@ sides computed apart, so a wrong map, transfer or product makes it fail with a c
 
 from __future__ import annotations
 
+import pytest
+
 from loophom import (
     based_loop_space,
+    cli,
     core,
     cyclic,
     dihedral,
@@ -25,18 +28,17 @@ def _failed(report, label_start: str) -> list:
     return [c for c in checks if not c.passed]
 
 
-def _wrong_on_theta(make_map):
-    """A map factory like `make_map` whose maps send the class Theta of the loop space to minus its image."""
+def _wrong_on(make_map, name: str):
+    """A map factory like `make_map` whose maps send the class `name` of their source to minus its image, and so
+    negate the image of that class's term in any class; a source that names no such class keeps its map."""
 
     def make(*args):
         mp = make_map(*args)
-        theta = mp.source.named.get("Theta")  # None on the based loop space
-
-        def wrong(elt):
-            image = mp(elt)
-            return -image if elt == theta else image
-
-        return wrong
+        cls = mp.source.named.get(name)  # no Theta on the based loop space
+        if cls is None:
+            return mp
+        mono, image = next(iter(cls.terms)), mp(cls)
+        return lambda elt: mp(elt) - 2 * elt.coefficient(mono) * image
 
     return make
 
@@ -56,7 +58,7 @@ def test_a_wrong_transfer_fails_both_transfer_product_checks(monkeypatch) -> Non
 
 def test_a_wrong_reversal_sign_fails_multiplicativity(monkeypatch) -> None:
     # theta(U*U) is wrong while theta(U)*theta(U) is not
-    monkeypatch.setattr(verify, "theta_star", _wrong_on_theta(verify.theta_star))
+    monkeypatch.setattr(verify, "theta_star", _wrong_on(verify.theta_star, "Theta"))
     report = verify.run("maps", ns=[3], rings=["Q"], degree_bound=12)
     failed = _failed(report, "theta(u*v) = theta(u)*theta(v)")
     assert failed and failed[0].detail
@@ -64,7 +66,7 @@ def test_a_wrong_reversal_sign_fails_multiplicativity(monkeypatch) -> None:
 
 def test_a_wrong_gysin_image_fails_multiplicativity(monkeypatch) -> None:
     # j!(U*U) is wrong while j!(U).j!(U) is not
-    monkeypatch.setattr(verify, "j_shriek", _wrong_on_theta(verify.j_shriek))
+    monkeypatch.setattr(verify, "j_shriek", _wrong_on(verify.j_shriek, "Theta"))
     report = verify.run("gysin", ns=[3], rings=["Q"], degree_bound=12)
     failed = _failed(report, "j!(u*v) = j!(u).j!(v)")
     assert failed and failed[0].detail
@@ -174,10 +176,12 @@ def _basis_triples(alg, bound: int) -> int:
 
 def test_each_associativity_check_judges_one_case_per_basis_triple(monkeypatch) -> None:
     seen = _consume_cases(monkeypatch)
-    verify.run("algebra", ns=[3], rings=["Q"], degree_bound=30)
-    verify.run("quotient-product", ns=[3], degree_bound=30)
+    checks = [*verify.run("algebra", ns=[3], rings=["Q"], degree_bound=30).checks,
+              *verify.run("quotient-product", ns=[3], degree_bound=30).checks]
     counted = {label.split(": ")[0]: cases for label, (cases, _) in seen.items()
                if label.split(": ")[1].startswith(ASSOCIATIVITY)}
+    cases = {c.label.split(": ")[0]: c.cases for c in checks if c.label.split(": ")[1].startswith(ASSOCIATIVITY)}
+    assert cases == counted
     loop = loop_space(3, "Q")
     algebras = [loop, based_loop_space(3, "Q"), sphere_space(3, "Q")]
     tags = [alg.label for alg in algebras]
@@ -213,12 +217,20 @@ def test_a_product_wrong_on_one_pair_fails_associativity_at_the_first_triple_tha
         out = mul(self, other)
         return out * 2 if self == u2 and other == a else out
 
+    basis = [(d, loop.monomial_element(m)) for d in range(31) for m in loop.basis(d)]
+    pairs = [(u, v) for du, u in basis for dv, v in basis if du + dv <= 30]
+    triples = [(u, v, w) for du, u in basis for dv, v in basis for dw, w in basis if du + dv + dw <= 30]
+    u = loop.generator("U")
     monkeypatch.setattr(core.Element, "__mul__", wrong)
     report = verify.run("algebra", ns=[3], rings=["Q"], degree_bound=30)
-    assert [c.line() for c in report.checks if not c.passed] == [
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.line() for c in failed] == [
         "[FAIL] H(LS^3;Q): v*u = (-1)^((deg u - n)(deg v - n)) u*v, total degree <= 30  -- u=A, v=U^2",
         "[FAIL] H(LS^3;Q): (u*v)*w = u*(v*w) on basis triples, total degree <= 30  -- u=U, v=U, w=A",
     ]
+    # each check examined its cases up to and including that counterexample, and no further
+    assert [c.cases for c in failed] == [pairs.index((a, u2)) + 1, triples.index((u, u, a)) + 1]
+    assert failed[1].cases < len(triples)
 
 
 def test_a_transfer_product_wrong_on_one_pair_fails_associativity_at_the_first_triple_that_forms_it(
@@ -237,3 +249,84 @@ def test_a_transfer_product_wrong_on_one_pair_fails_associativity_at_the_first_t
         "[FAIL] LS^3/D1: P(b,a) = (-1)^((deg a - n)(deg b - n)) P(a,b), total degree <= 30  -- a=q(A), b=q(U^2)",
         "[FAIL] LS^3/D1: P(P(a,b),c) = P(a,P(b,c)), total degree <= 30  -- a=q(E), b=q(U^2), c=q(A)",
     ]
+
+
+def test_a_passing_check_counts_every_case_it_was_given(monkeypatch) -> None:
+    seen = _consume_cases(monkeypatch)
+    report = verify.run("all", ns=[3, 4], degree_bound=6, power_bound=3)
+    assert report.passed and len(seen) == len(report.checks)
+    assert [c.cases for c in report.checks] == [seen[c.label][0] for c in report.checks]
+
+
+def test_a_power_check_with_no_powers_examines_no_case() -> None:
+    # --power-bound 0 leaves k in 1..0: the check passes with nothing examined, and `cases` says so
+    report = verify.run("main-theorem", ns=[4], degree_bound=0, power_bound=0)
+    (check,) = [c for c in report.checks if c.label == "LS^4/D1: eta^k != 0 and spans H_(4k(n-1)+n) for k <= 0"]
+    assert check.passed and check.cases == len(range(1, 0 + 1)) == 0
+
+
+def _lenient_a_product(variant, q, a, b):
+    """`a_product`, but an inhomogeneous b gets the transfer product instead of a refusal."""
+    return equivariant.a_product(variant, q, a, b) if b.is_homogeneous() else q.product(a, b)
+
+
+def _doubled_on_omega(product):
+    """A `Quotient.product` like `product`, doubled on the quotients of the based loop space."""
+    return lambda self, a, b: product(self, a, b) * (2 if self.space.kind == "omega" else 1)
+
+
+# q(x) = 0 is the spot check of `test_a_based_quotient_without_the_kernel_of_q_fails_q_of_x`
+SPOT_FAULTS = [
+    ("maps", lambda mp: mp.setattr(verify, "theta_star", _wrong_on(verify.theta_star, "A")),
+     "[FAIL] H(LS^3;Q): theta fixes A and E"),
+    ("maps", lambda mp: mp.setattr(verify, "ev_star", _wrong_on(verify.ev_star, "E")),
+     "[FAIL] H(LS^3;Q): ev(A) = pt, ev(E) = fundamental"),
+    ("gysin", lambda mp: mp.setattr(verify, "j_shriek", _wrong_on(verify.j_shriek, "Theta")),
+     "[FAIL] S^3(Q): j!(E)=1, j!(Theta)=x^2, j!(U)=x, j*(1)=A"),
+    ("theta-vs-vartheta", lambda mp: mp.setattr(verify, "chi_star", _wrong_on(verify.chi_star, "E")),
+     "[FAIL] LS^3: vartheta vs theta: units (and mu for n odd) correspond"),
+    ("a-products", lambda mp: mp.setattr(verify, "mu_class", lambda q: 0 * q.unit()),
+     "[FAIL] LS^3/D1: yet P_vartheta is not zero (P(mu,mu) != 0)"),
+    ("a-products", lambda mp: mp.setattr(verify, "a_product", _lenient_a_product),
+     "[FAIL] LS^3/D1: A-product rejects inhomogeneous b"),
+    ("quotient-homs", lambda mp: mp.setattr(verify, "ev_star", _wrong_on(verify.ev_star, "E")),
+     "[FAIL] LS^3/D1: (ev/G)(e) = fundamental/|G|^2"),
+    ("quotient-homs", lambda mp: mp.setattr(verify, "j_shriek", _wrong_on(verify.j_shriek, "E")),
+     "[FAIL] LS^3/D1: (j/G)(e) is the based transfer unit"),
+    ("quotient-homs",
+     lambda mp: mp.setattr(equivariant.Quotient, "product", _doubled_on_omega(equivariant.Quotient.product)),
+     "[FAIL] OS^3/D1: POmega(q(x^2),q(x^2)) = 4*q(x^4)"),
+]
+
+
+@pytest.mark.parametrize("suite, fault, line", SPOT_FAULTS, ids=[line[7:] for _, _, line in SPOT_FAULTS])
+def test_a_fault_that_breaks_a_spot_identity_fails_its_check(monkeypatch, suite, fault, line) -> None:
+    # each spot check is a `_check` over a short list of cases; a failing one names no counterexample
+    fault(monkeypatch)
+    report = verify.run(suite, ns=[3], rings=["Q"], degree_bound=6)
+    assert line in [c.line() for c in report.checks if not c.passed]
+
+
+def _seeded_fault():
+    raise core.DomainError("seeded fault")
+
+
+@pytest.mark.parametrize(
+    "fault, shown",
+    [(_seeded_fault, "DomainError: seeded fault"),
+     (lambda: 1 // 0, "ZeroDivisionError: integer division or modulo by zero")],
+    ids=["DomainError", "ZeroDivisionError"],
+)
+def test_a_suite_that_raises_is_one_fail_line_and_the_other_suites_still_run(monkeypatch, capsys, fault,
+                                                                             shown) -> None:
+    # main-theorem raises at n = 3 only: its n = 4 lines stay, and so do every other suite's
+    lines = {(name, n): [c.line() for c in verify.run(name, ns=[n], degree_bound=4).checks]
+             for name in verify.SUITES for n in (3, 4)}
+    lines["main-theorem", 3] = [f"[FAIL] main-theorem, n = 3: the suite runs to completion  -- {shown}"]
+    expected = [line for key in lines for line in lines[key]]
+    main_theorem = verify.SUITES["main-theorem"]
+    monkeypatch.setitem(verify.SUITES, "main-theorem",
+                        lambda n, *bounds: fault() if n == 3 else main_theorem(n, *bounds))
+    assert cli.main(["verify", "all", "--n", "3", "--n", "4", "--degree-bound", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["verify all: n in [3, 4], rings ['Q', 'Z'], degree bound 4",
+                                                    *expected, f"{len(expected) - 1}/{len(expected)} checks passed"]

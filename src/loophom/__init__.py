@@ -29,7 +29,6 @@ from .equivariant import (
     Quotient,
     Subgroup,
     a_product,
-    conjugate_dihedral,
     cyclic,
     dihedral,
     eta_class,
@@ -87,7 +86,6 @@ __all__ = [
     "a_product",
     "based_loop_space",
     "chi_star",
-    "conjugate_dihedral",
     "cyclic",
     "dihedral",
     "eta_class",

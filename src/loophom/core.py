@@ -70,15 +70,11 @@ class Algebra:
     degree.  Anything else raises `StructureError`.  A monomial is the int
     `e << k | mask` (see the module docstring); `monomial` and `exponents`
     convert it to and from the exponent vector.
-
     `extra_zero_rules` and `torsion_rules` are monomials: any monomial whose
     exponents dominate a zero rule's is zero, and one that dominates a
-    torsion rule's is 2-torsion over Z (and zero over Q).  Squares of the
-    nilpotent generators vanish by the encoding.  The rules become, for each
-    mask, the least free exponent at which a monomial is zero or torsion.
-
-    The class attribute `element` is the class of the elements it builds
-    (`Element`, set below it; a subclass may build a subclass).
+    torsion rule's is 2-torsion over Z (and zero over Q).  The rules become,
+    for each mask, the least free exponent at which a monomial is zero or torsion.
+    The class attribute `element` is the class of the elements it builds.
     """
 
     def __init__(
@@ -93,6 +89,10 @@ class Algebra:
     ):
         if ring not in (RING_Q, RING_Z):
             raise DomainError(f"unknown coefficient ring {_shown(ring)}")
+        if not (type(label) is type(unit_name) is str and type(shift) is int
+                and all(isinstance(v, (tuple, list)) for v in (generators, extra_zero_rules, torsion_rules))
+                and all(type(g) is Generator and tuple(map(type, g)) == (str, int, bool) for g in generators)):
+            raise StructureError(f"not a presentation: {_shown(label)}, with generators {_shown(generators)}")
         self.label = label
         self.ring = ring
         self.generators = gens = tuple(generators)
@@ -165,13 +165,19 @@ class Algebra:
             raise StructureError(f"{_shown(exps)} is not an exponent vector of {self.label}")
         return sum(e << i for i, e in enumerate(exps))
 
+    def _check_monomial(self, mono) -> None:
+        if type(mono) is not int or not 0 <= mono <= self._top:
+            raise StructureError(f"{_shown(mono)} is not a monomial of {self.label}")
+
     def exponents(self, mono: int) -> tuple:
         """The exponent vector of a monomial: the inverse of `monomial`."""
+        self._check_monomial(mono)
         k = self._k
         bits = tuple(mono >> i & 1 for i in range(k))
         return (bits + (mono >> k,)) if self._step else bits
 
     def monomial_degree(self, mono: int) -> int:
+        self._check_monomial(mono)
         return self._mask_degree[mono & self._nil] + (mono >> self._k) * self._step
 
     def mul_monomials(self, m1: int, m2: int):
@@ -195,36 +201,36 @@ class Algebra:
     # ------------------------------------------------------------------
 
     def normalize(self, terms) -> "Element":
-        """Collect (coefficient, monomial) pairs into a normal-form element.
+        """Collect (coefficient, monomial) pairs into a normal-form element: the entry point for outside terms.
 
-        The entry point for terms from outside an `Element`.  Applies the
-        rules: zero monomials are dropped, torsion coefficients are reduced
-        mod 2 over Z, and zero coefficients are pruned.  Every monomial must
-        be a non-negative `int` of this algebra, else `StructureError`.
-        Every coefficient goes through `scalar`, except an exact `int`, which
-        `scalar` would return unchanged; `_reduce` then applies the
-        coefficient rule to the sums.
+        Zero monomials are dropped, and `_reduce` applies the coefficient rule
+        to the sums.  A term that is not a pair, or whose monomial is not a
+        monomial of this algebra, is a `StructureError`; every coefficient but
+        an exact `int` goes through `scalar`.
         """
         k, nil, top, zero_from = self._k, self._nil, self._top, self._zero_from
         acc: dict = {}
-        for coeff, mono in terms:
-            if type(mono) is not int or not 0 <= mono <= top:
-                raise StructureError(f"{_shown(mono)} is not a monomial of {self.label}")
-            if type(coeff) is not int:
-                coeff = self.scalar(coeff)
-            if mono >> k < zero_from[mono & nil]:
-                acc[mono] = acc.get(mono, 0) + coeff
+        try:
+            for coeff, mono in terms:
+                if type(mono) is not int or not 0 <= mono <= top:
+                    self._check_monomial(mono)  # raises
+                if type(coeff) is not int:
+                    coeff = self.scalar(coeff)
+                if mono >> k < zero_from[mono & nil]:
+                    acc[mono] = acc.get(mono, 0) + coeff
+        except (DomainError, StructureError):
+            raise
+        except (TypeError, ValueError):  # terms not iterable, or a term that is not a pair
+            raise StructureError(f"terms must be (coefficient, monomial) pairs, got {_shown(terms)}") from None
         return self._reduce(acc, {})
 
     def _reduce(self, acc: dict, out: dict) -> "Element":
-        """The element `out` with the collected sums `acc` written into it.
+        """The element `out` with the collected sums `acc` (nonzero monomials to int or `Fraction`) written in.
 
-        `acc` maps nonzero monomials of this algebra to int or `Fraction`
-        sums.  The one coefficient rule: a sum that is not an `int` goes
-        through `scalar` (an integral `Fraction` becomes an `int`, a
-        fractional one over Z is refused), then it is reduced mod 2 on a
-        torsion monomial over Z, and a zero sum removes its monomial from
-        `out`.
+        The one coefficient rule: a sum that is not an `int` goes through
+        `scalar` (an integral `Fraction` becomes an `int`, a fractional one
+        over Z is refused), then it is reduced mod 2 on a torsion monomial
+        over Z, and a zero sum removes its monomial from `out`.
         """
         k, nil, torsion_from = self._k, self._nil, self._torsion_from
         for mono, coeff in acc.items():
@@ -292,6 +298,7 @@ class Algebra:
         are enumerated; the free exponent, if there is a free generator, is
         solved for by division.
         """
+        _check_degree(degree)
         k, step = self._k, self._step
         out: list = []
         for mask, low in enumerate(self._mask_degree):
@@ -317,9 +324,10 @@ class Element:
     """A normalized element: an exact linear combination of basis monomials.
 
     `terms` maps each monomial (an int, see `Algebra`) to its nonzero
-    coefficient.  Instances come from `Algebra.normalize` or from arithmetic
-    on normal elements, and are treated as immutable.  Arithmetic stays
-    inside one algebra; mixing algebras raises `StructureError`.
+    coefficient.  `Element(...)` is the unchecked normal-form constructor:
+    classes are built by `normalize`, `monomial_element` or `generator`, or by
+    arithmetic on normal elements, and are treated as immutable.  Arithmetic
+    stays inside one algebra; mixing algebras raises `StructureError`.
     """
 
     __slots__ = ("algebra", "terms")
@@ -359,6 +367,7 @@ class Element:
         return {d: alg.element(alg, part) for d, part in sorted(parts.items())}
 
     def coefficient(self, mono: int):
+        self.algebra._check_monomial(mono)
         return self.terms.get(mono, 0)
 
     # -- arithmetic ------------------------------------------------------
@@ -446,6 +455,11 @@ class Element:
 Algebra.element = Element
 
 
+def _check_degree(degree) -> None:
+    if type(degree) is not int:
+        raise DomainError(f"a degree must be an int, got {_shown(degree)}")
+
+
 def is_scalar(value) -> bool:
     """True for int and Fraction; a bool is refused, not read as 0 or 1."""
     if isinstance(value, bool):
@@ -485,7 +499,7 @@ def power(base, k):
     past POWER_BITS; every power that refusal accepts passes the loop's later checks too.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise DomainError(f"exponent must be a natural number, got {_int_str(k) if type(k) is int else repr(k)}")
+        raise DomainError(f"exponent must be a natural number, got {_shown(k)}")
     what = f"a power with exponent {_int_str(k)}"
     if k < 2:
         return base if k else (base.algebra.unit() if isinstance(base, Element) else 1)

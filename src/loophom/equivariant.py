@@ -1,52 +1,32 @@
 """Finite subgroups of O(2) acting on loops, and the quotient algebras H(X/G; Q).
 
-A finite subgroup G of O(2) acts on the free loop space by rotating (and,
-for reflections, reversing) the loop parameter t in R/Z.  Rotations act
-trivially on homology and every reflection acts by loop reversal, so
-homology sees G only through |G| and whether G contains a reflection.  A
-`Subgroup` is the triple (m, reflections, rotation):
+G acts on the free loop space by rotating (and, for reflections, reversing)
+the loop parameter t in R/Z.  Rotations act trivially on homology, every
+reflection acts by loop reversal, and the quotient depends on G only up to
+conjugacy, so homology sees |G| and whether G has a reflection, and a
+`Subgroup` is the pair (m, reflections):
 
-* ``cyclic(m)``               — the m rotations, order m, label ``Cm``;
-* ``dihedral(m)``             — the m rotations and the m reflections
-                                t -> k/m - t, order 2m, label ``Dm``;
-* ``conjugate_dihedral(m,s)`` — the m rotations and the m reflections
-                                t -> s + k/m - t, label ``Dm@s``.  Only s
-                                modulo 1/m matters, so s is stored reduced
-                                and s = 0 is ``dihedral(m)``;
-* ``theta_group()``           — (1, True, 1/2): the order-2 group generated
-                                by the basepoint-moving reflection
-                                t -> 1/2 - t, label ``theta``.
+* ``cyclic(m)``     — the m rotations, order m, label ``Cm``;
+* ``dihedral(m)``   — the m rotations and m reflections, order 2m, label ``Dm``;
+* ``theta_group()`` — the basepoint-moving reflection t -> 1/2 - t, which the
+                      paper names: D1's algebra under its own label ``theta``.
 
-Equal labels mean equal groups, and so the same cached `quotient`.
+Rationally ``q_*`` identifies H(X/G; Q) with the G-invariants of H(X; Q).
+theta_* is +-1 on each basis monomial, so ``q_*`` of z keeps the terms whose
+monomial is fixed, which is (z + theta z)/2 with no sum and no division: a
+`Quotient` is the `Algebra` on the fixed monomials, printed as ``q(...)``,
+whose elements are `QElement`s.  The transfer is pinned down by
+q_*(tr(a)) = |G| a and tr(q_*(z)) = sum_g g_*(z): tr(a) is |G| times the same
+terms.  So the transfer product has a closed form,
 
-Rationally, ``q_*`` identifies H(X/G; Q) with the G-invariants of H(X; Q).
-Loop reversal theta_* acts by +-1 on each basis monomial, so the invariants
-are spanned by the monomials it fixes, and ``q_*`` of a class z keeps the
-terms of z whose monomial is fixed: the invariant projection (z + theta z)/2,
-with no sum and no division.  So a `Quotient` is an `Algebra` whose basis is
-the fixed monomials, the covering algebra's own ints with their degrees,
-printed as ``q(...)``; its elements are `QElement`s.
-The transfer ``tr`` goes the other way; its two defining properties
+    P_G(a, b)  =  q_*( tr(a) * tr(b) )  =  |G|^2 . q_*(a * b),
 
-    q_* ( tr(a) )  =  |G| . a           (on quotient homology)
-    tr ( q_*(z) )  =  sum_g g_*(z)      (on covering-space homology)
-
-pin it down: tr(a) is |G| times the same terms, read in H(X; Q).  So the
-transfer product, the quotient's product, has a closed form:
-
-    P_G(a, b)  =  q_*( tr(a) * tr(b) )  =  |G|^2 . q_*(a * b).
-
-So a quotient's product is its space's with two pieces of data, the scale
-|G|^2 and the kernel of q_* (`_factor` and `_keep`, which `Algebra._multiply`
-reads).  `_keep` is an int: q_* drops a monomial m when popcount(m & _keep)
-is odd, and `_keep` is `reversal_flips(space)` for a group with a reflection
-and 0 for one without.  It is associative and graded-commutative with the
-sign rule of the loop product, and its unit is q_*(E) / |G|^2.  The q_*
-stays: a product of fixed monomials need not be fixed, since on the based
-algebra with n even theta_* is not multiplicative (x^3 is fixed, x^6 = x^3 *
-x^3 is negated).
-The same construction on the based algebra gives the based transfer product
-(``POmega`` in the CLI).
+the space's product under the scale |G|^2 and the kernel of q_* (`_factor` and
+`_keep`, which `Algebra._multiply` reads): q_* drops m when popcount(m & _keep)
+is odd, and `_keep` is `reversal_flips(space)` for a group with a reflection,
+else 0.  It is associative and graded-commutative, with unit q_*(E) / |G|^2.
+The q_* stays: on the based algebra with n even x^3 is fixed and x^6 negated.
+The based algebra gives the based transfer product (``POmega`` in the CLI).
 
 Everything here requires ring Q: only rationally is quotient homology the
 invariants, and no integral quotient structure is modeled.
@@ -56,30 +36,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import RING_Q, Algebra, DomainError, Element, StructureError, _int_str, _shown, scalar_str
+from .core import RING_Q, Algebra, DomainError, Element, StructureError, _int_str, _shown
 from .maps import reversal_flips, theta_star
 from .spaces import LOOP, OMEGA, BettiTable, Space
 
 
 class Subgroup:
-    """A finite subgroup of O(2): m rotations and, with `reflections`, the m
-    reflections t -> rotation + k/m - t; `rotation` is kept reduced mod 1/m.
+    """A finite subgroup of O(2) as homology sees it: m rotations and, with `reflections`, m reflections.
 
     An immutable value: it equals and hashes like another `Subgroup` with the
-    same canonical triple, and never equals a value of another type.
+    same m, reflections and label, and never equals a value of another type.
     """
 
-    __slots__ = ("m", "reflections", "rotation")
+    __slots__ = ("m", "reflections", "label")
 
-    def __init__(self, m: int, reflections: bool, rotation=0):
+    def __init__(self, m: int, reflections: bool):
         if type(m) is not int or m < 1:
             raise DomainError(f"subgroup parameter m must be an int >= 1, got {_shown(m)}")
         if type(reflections) is not bool:
             raise DomainError(f"subgroup parameter reflections must be a bool, got {_shown(reflections)}")
-        if type(rotation) not in (int, Fraction):  # a float would be read as its exact binary fraction
-            raise DomainError(f"subgroup rotation must be an int or a Fraction, got {_shown(rotation)}")
-        rotation = Fraction(rotation) % Fraction(1, m) if reflections else Fraction(0)
-        for name, value in zip(self.__slots__, (m, reflections, rotation)):
+        for name, value in zip(self.__slots__, (m, reflections, f"{'D' if reflections else 'C'}{_int_str(m)}")):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, *value):
@@ -87,36 +63,21 @@ class Subgroup:
 
     __delattr__ = __setattr__
 
-    def _key(self) -> tuple:
-        return self.m, self.reflections, self.rotation
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is Subgroup else NotImplemented
+    def __eq__(self, other):  # the label names (m, reflections), or theta
+        return self.label == other.label if type(other) is Subgroup else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.label)
 
     def __reduce__(self):
-        return Subgroup, self._key()
+        return (theta_group, ()) if self is _THETA else (Subgroup, (self.m, self.reflections))
 
     def __repr__(self):
-        r = self.rotation
-        return (f"Subgroup(m={_int_str(self.m)}, reflections={self.reflections!r}, "
-                f"rotation=Fraction({_int_str(r.numerator)}, {_int_str(r.denominator)}))")
+        return "theta_group()" if self is _THETA else f"Subgroup({_int_str(self.m)}, {self.reflections!r})"
 
     @property
     def order(self) -> int:
         return self.m * (2 if self.reflections else 1)
-
-    @property
-    def label(self) -> str:
-        if not self.reflections:
-            return f"C{_int_str(self.m)}"
-        if not self.rotation:
-            return f"D{_int_str(self.m)}"
-        if self == theta_group():
-            return "theta"
-        return f"D{_int_str(self.m)}@{scalar_str(self.rotation)}"
 
 
 def cyclic(m: int) -> Subgroup:
@@ -127,21 +88,20 @@ def dihedral(m: int) -> Subgroup:
     return Subgroup(m, True)
 
 
-def conjugate_dihedral(m: int, rotation) -> Subgroup:
-    return Subgroup(m, True, rotation)
+_THETA = Subgroup(1, True)
+object.__setattr__(_THETA, "label", "theta")
 
 
 def theta_group() -> Subgroup:
     """The order-2 group generated by the basepoint-moving reflection t -> 1/2 - t."""
-    return Subgroup(1, True, Fraction(1, 2))
+    return _THETA
 
 
 class QElement(Element):
     """A class of H(X/G; Q): an `Element` of its `Quotient`, all of whose monomials are fixed.
 
     `*` of two classes is the transfer product P_G, and so `**` is its power
-    (the 0th power is the transfer unit); every other operation is an
-    `Element`'s.
+    (the 0th power is the transfer unit); every other operation is an `Element`'s.
     """
 
     __slots__ = ()
@@ -205,11 +165,8 @@ class Quotient(Algebra):
         return super().unit()._scale(Fraction(1, self.group.order**2))
 
     def basis(self, degree: int) -> list:
-        """The basis monomials of degree d that the group fixes.
-
-        For reflections these are the monomials with an even number of
-        sign-reversed letters; for cyclic groups, every one.
-        """
+        """The basis monomials of degree d that the group fixes: with reflections, those with an even number of
+        sign-reversed letters; for cyclic groups, every one."""
         return [mono for mono in self.space.basis(degree) if self._fixes(mono)]
 
     invariants = basis
@@ -217,9 +174,8 @@ class Quotient(Algebra):
     def _fixes(self, mono: int) -> bool:
         """Whether the group fixes a basis monomial: the `_keep` test every product term passes.
 
-        Rotations act trivially and every reflection acts by theta_*, which
-        is diagonal, +-1 on each basis monomial (`reversal_flips`); so an
-        element is invariant exactly when each of its monomials is.
+        Every reflection acts by theta_*, which is +-1 on each basis monomial
+        (`reversal_flips`); so an element is invariant exactly when each of its monomials is.
         """
         return not (mono & self._keep).bit_count() & 1
 
@@ -230,10 +186,9 @@ class Quotient(Algebra):
 
         The class keeps the terms of z with a fixed monomial, which is the
         invariant projection (z+theta z)/2: each basis monomial is fixed or
-        negated, so these terms double and halve while the rest cancel.  The
-        anti-invariant part of z is exactly the kernel of q_*.
+        negated, so the anti-invariant part of z is exactly the kernel of q_*.
         """
-        if elt.algebra is not self.space:
+        if type(elt) is not Element or elt.algebra is not self.space:
             raise StructureError(f"q expects an element of {self.space.label}")
         keep = self._keep
         return QElement(self, {m: c for m, c in elt.terms.items() if not (m & keep).bit_count() & 1})
@@ -251,7 +206,7 @@ class Quotient(Algebra):
         The m rotations act as the identity and the m reflections, if any,
         by loop reversal: the sum is m*(elt + theta_*(elt)), or m*elt.
         """
-        if elt.algebra is not self.space:
+        if type(elt) is not Element or elt.algebra is not self.space:
             raise StructureError(f"the action sum expects an element of {self.space.label}")
         if self.group.reflections:
             elt = elt + self._theta(elt)
@@ -280,6 +235,11 @@ def _check_pair(space: Space, group: Subgroup) -> None:
         raise DomainError(f"a quotient needs a Space and a Subgroup, got {_shown(space)} and {_shown(group)}")
 
 
+def _check_quotient(q: Quotient) -> None:
+    if type(q) is not Quotient:
+        raise DomainError(f"expected a Quotient, got {_shown(q)}")
+
+
 _quotients: dict = {}  # (space, group) -> the one Quotient `quotient` built
 
 
@@ -299,6 +259,7 @@ def quotient(space: Space, group: Subgroup) -> Quotient:
 
 def mu_class(q: Quotient) -> QElement:
     """mu = q_*(U*U) on a loop quotient, n odd (degree 3n-2)."""
+    _check_quotient(q)
     if q.space.kind != LOOP or q.space.n % 2 == 0:
         raise DomainError("mu lives on loop quotients with n odd")
     return q.project(q.space.generator("Theta"))
@@ -306,6 +267,7 @@ def mu_class(q: Quotient) -> QElement:
 
 def eta_class(q: Quotient) -> QElement:
     """eta = q_*(Theta*Theta) on a loop quotient, n even (degree 5n-4)."""
+    _check_quotient(q)
     if q.space.kind != LOOP or q.space.n % 2:
         raise DomainError("eta lives on loop quotients with n even")
     theta = q.space.generator("Theta")
@@ -328,21 +290,20 @@ def a_product(variant: str, q: Quotient, a: QElement, b: QElement) -> QElement:
     the remaining cases it agrees with the transfer product up to the sign
     (-1)^{n(n-j)}, j = deg b.
     """
-    group = {"vartheta": dihedral(1), "theta": theta_group()}.get(variant)
-    if group is None:
-        raise DomainError(f"unknown A-product variant {variant!r}")
+    if variant not in ("vartheta", "theta"):  # compared, not hashed
+        raise DomainError(f"unknown A-product variant {_shown(variant)}")
+    _check_quotient(q)
     if q.space.kind != LOOP:
         raise DomainError("A-products live on loop quotients")
+    group = dihedral(1) if variant == "vartheta" else _THETA
     if q.group != group:
         raise DomainError(f"the {variant} A-product needs the {group.label} quotient")
-    if a.algebra is not q or b.algebra is not q:
+    if not (isinstance(a, QElement) and isinstance(b, QElement) and a.algebra is q is b.algebra):
         raise StructureError("A-product arguments live on a different quotient")
     if not b:
         return q.zero()
     if not b.is_homogeneous():
-        raise DomainError(
-            f"A-product needs a homogeneous second argument, degrees {b.degrees()}"
-        )
+        raise DomainError(f"A-product needs a homogeneous second argument, degrees {b.degrees()}")
     n = q.space.n
     if variant == "vartheta" and n % 2:
         return q.zero()

@@ -29,7 +29,8 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .core import DomainError, Element, StructureError, check_sum, check_work, int_from_digits, power, scalar_str
+from .core import (DomainError, Element, StructureError, _shown, check_sum, check_work, int_from_digits, is_scalar,
+                   power, scalar_str)
 from .equivariant import QElement, Quotient, a_product, eta_class, mu_class, quotient
 from .maps import ev_star, j_shriek, j_star, theta_star
 from .spaces import LOOP, OMEGA, Space, based_loop_space, loop_space
@@ -118,14 +119,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             what = tok.text or "end of input"
-            raise ExprSyntaxError(f"expected {kind}, found {what!r}", tok.line, tok.col)
+            raise ExprSyntaxError(f"expected {kind}, found {_shown(what)}", tok.line, tok.col)
         return self.take()
 
     def parse(self):
         node = self.expr()
         tok = self.peek()
         if tok.kind != "END":
-            raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col)
+            raise ExprSyntaxError(f"unexpected {_shown(tok.text)}", tok.line, tok.col)
         return node
 
     def expr(self):
@@ -154,9 +155,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "NUMBER":
                 what = tok.text or "end of input"
-                raise ExprSyntaxError(
-                    f"expected exponent after '^', found {what!r}", tok.line, tok.col
-                )
+                raise ExprSyntaxError(f"expected exponent after '^', found {_shown(what)}", tok.line, tok.col)
             self.take()
             node = Pow(node, int_from_digits(tok.text), op.line, op.col)
         return node
@@ -191,11 +190,13 @@ class _Parser:
             self.expect(")")
             return node
         what = tok.text or "end of input"
-        raise ExprSyntaxError(f"expected a value, found {what!r}", tok.line, tok.col)
+        raise ExprSyntaxError(f"expected a value, found {_shown(what)}", tok.line, tok.col)
 
 
 def parse(text: str):
     """Parse an expression; raises ExprSyntaxError with line/column."""
+    if type(text) is not str:
+        raise DomainError(f"an expression is a str, got {_shown(text)}")
     return _Parser(tokenize(text)).parse()
 
 
@@ -235,6 +236,8 @@ class EvalContext:
     """The flag-selected space (and quotient, when a group is given), which evaluates syntax trees over them."""
 
     def __init__(self, space: Space, group=None):
+        if type(space) is not Space:
+            raise DomainError(f"an EvalContext needs a Space, got {_shown(space)}")
         self.space = space
         self.quotient = quotient(space, group) if group is not None else None
 
@@ -253,7 +256,7 @@ class EvalContext:
             if name == "eta":
                 return eta_class(self.quotient)
         raise DomainError(
-            f"unknown name {name!r} in the {space.kind} space of S^{space.n}"
+            f"unknown name {_shown(name)} in the {space.kind} space of S^{space.n}"
             + ("" if self.quotient else " (no group selected)")
         )
 
@@ -278,12 +281,9 @@ class EvalContext:
         fn = node.fn
         arity = FUNCTION_ARITY.get(fn)
         if arity is None:
-            raise DomainError(f"unknown function {fn!r}")
+            raise DomainError(f"unknown function {_shown(fn)}")
         if len(node.args) != arity:
-            raise DomainError(
-                f"{fn}(...) takes {arity} argument{'s' if arity > 1 else ''}, "
-                f"got {len(node.args)}"
-            )
+            raise DomainError(f"{fn}(...) takes {arity} argument{'s' if arity > 1 else ''}, got {len(node.args)}")
         args = [self.eval(a) for a in node.args]
 
         if fn == "q":
@@ -375,7 +375,7 @@ class EvalContext:
             return value
         if isinstance(node, Call):
             return self._call(node)
-        raise StructureError(f"unknown syntax node {node!r}")
+        raise StructureError(f"unknown syntax node {_shown(node)}")
 
 
 def _kind_name(value) -> str:
@@ -390,11 +390,19 @@ def _kind_name(value) -> str:
 
 def evaluate(text: str, context: EvalContext):
     """Parse and evaluate in one step."""
+    if type(context) is not EvalContext:
+        raise DomainError(f"evaluate needs an EvalContext, got {_shown(context)}")
     return context.eval(parse(text))
+
+
+def _check_value(value) -> None:
+    if not isinstance(value, Element) and not is_scalar(value):  # is_scalar refuses a bool
+        raise DomainError(f"not a scalar or a class: {_shown(value)}")
 
 
 def format_value(value) -> str:
     """Canonical printing: lowest-terms scalars, monomials in degree order."""
+    _check_value(value)
     if isinstance(value, (int, Fraction)):
         return scalar_str(value)
     return str(value)
@@ -406,6 +414,8 @@ def values_equal(a, b) -> bool:
     The zero quotient class also prints as "0", so scalar zero compares
     equal to it; no nonzero scalar names a quotient class.
     """
+    _check_value(a)
+    _check_value(b)
     if isinstance(b, (int, Fraction)):
         a, b = b, a  # a scalar, if any, comes first
     if isinstance(a, (int, Fraction)) and isinstance(b, QElement):

@@ -1,8 +1,7 @@
 """Linear maps between the sphere-attached homology algebras.
 
-A map's `source` and `target` are `Space`s, which are the algebras
-themselves: a map accepts the elements of its source and returns elements
-of its target.
+A map's `source` and `target` are algebras (here `Space`s): a map accepts
+the elements of its source and returns elements of its target.
 
 * ``theta_star``  — loop reversal acting on homology.  It is diagonal: a
   basis monomial m goes to (-1)^popcount(m & flips) m, for the mask flips =
@@ -21,31 +20,33 @@ of its target.
   powers go to A*U^{2r} (n odd) and to the torsion class A*Theta^r (n even,
   so they vanish over Q).
 
-`suite_gysin` in the verify module checks the three compatibility identities
-tying these together.
+`suite_gysin` in the verify module checks the three identities tying them together.
 """
 
 from __future__ import annotations
 
-from .core import DomainError, Element, StructureError
+from .core import Algebra, DomainError, Element, StructureError, _shown
 from .spaces import Space, based_loop_space, loop_space, sphere_space
 
 
 class LinearMap:
     """A degree-homogeneous linear map sending each basis monomial to a signed monomial or to 0.
 
-    `rule` maps a source monomial to a pair (coefficient, target monomial),
-    or to None for 0; the target's `normalize` applies its zero and torsion
-    rules to the images.
+    `rule` maps a source monomial to a pair (coefficient, target monomial), or to None for 0; the target's
+    `normalize` applies its zero and torsion rules to the images.  Its `label` is `name` on the source's label,
+    made after the arguments are checked.
     """
 
-    def __init__(self, source: Space, target: Space, rule, label: str):
+    def __init__(self, source: Algebra, target: Algebra, rule, name: str):
+        if not (isinstance(source, Algebra) and isinstance(target, Algebra) and callable(rule) and type(name) is str):
+            raise DomainError("a linear map needs a source and a target algebra, a callable rule and a str name")
         self.source = source
         self.target = target
-        self.label = label
+        self.label = f"{name} on {source.label}"
         self._rule = rule
 
     def image_of_monomial(self, mono) -> Element:
+        self.source._check_monomial(mono)
         image = self._rule(mono)
         return self.target.normalize([image] if image else [])
 
@@ -54,9 +55,7 @@ class LinearMap:
             raise StructureError(f"{self.label} expects an algebra element")
         if elt.algebra is not self.source:
             raise StructureError(
-                f"{self.label} is defined on {self.source.label}, "
-                f"got an element of {elt.algebra.label}"
-            )
+                f"{self.label} is defined on {self.source.label}, got an element of {elt.algebra.label}")
         raw = []
         for mono, coeff in elt.terms.items():
             image = self._rule(mono)
@@ -70,14 +69,17 @@ class LinearMap:
 
 
 def reversal_power_sign(n: int, k: int) -> int:
-    """Sign of loop reversal on the k-th Pontrjagin power of x."""
+    """Sign of loop reversal on the k-th Pontrjagin power of x, for natural numbers n and k."""
+    for name, value in (("n", n), ("k", k)):
+        if type(value) is not int or value < 0:
+            raise DomainError(f"reversal_power_sign needs a natural number {name}, got {_shown(value)}")
     exponent = k if n % 2 else k * (k + 1) // 2
     return -1 if exponent % 2 else 1
 
 
 def reversal_flips(space: Space) -> int:
     """The monomial whose set bits loop reversal negates: theta_* multiplies m by (-1)^popcount(m & flips)."""
-    if space.flips is None:
+    if getattr(space, "flips", None) is None:  # a sphere, or not a space
         raise DomainError("loop reversal acts on the loop and omega spaces only")
     return space.flips
 
@@ -85,12 +87,12 @@ def reversal_flips(space: Space) -> int:
 def theta_star(space: Space) -> LinearMap:
     """Loop reversal on homology (an involution and product endomorphism)."""
     flips = reversal_flips(space)
-    return LinearMap(space, space, lambda mono: ((-1) ** (mono & flips).bit_count(), mono), f"theta on {space.label}")
+    return LinearMap(space, space, lambda mono: ((-1) ** (mono & flips).bit_count(), mono), "theta")
 
 
 def chi_star(space: Space) -> LinearMap:
     """Comparison between the two reflection quotients; the identity map."""
-    return LinearMap(space, space, lambda mono: (1, mono), f"chi on {space.label}")
+    return LinearMap(space, space, lambda mono: (1, mono), "chi")
 
 
 def ev_star(n: int, ring: str) -> LinearMap:
@@ -100,7 +102,7 @@ def ev_star(n: int, ring: str) -> LinearMap:
     a_mono = source.monomial((1, 0) if n % 2 else (0, 1, 0))
     # A to the point class, E to the fundamental class (the unit), everything else to 0
     images = {a_mono: (1, target.monomial((1,))), 0: (1, 0)}
-    return LinearMap(source, target, images.get, f"ev0 on {source.label}")
+    return LinearMap(source, target, images.get, "ev0")
 
 
 def j_shriek(n: int, ring: str) -> LinearMap:
@@ -111,7 +113,7 @@ def j_shriek(n: int, ring: str) -> LinearMap:
         *nilpotent, k = source.exponents(mono)
         return None if any(nilpotent) else (1, target.monomial((k if n % 2 else 2 * k,)))
 
-    return LinearMap(source, target, rule, f"j! on {source.label}")
+    return LinearMap(source, target, rule, "j!")
 
 
 def j_star(n: int, ring: str) -> LinearMap:
@@ -129,4 +131,4 @@ def j_star(n: int, ring: str) -> LinearMap:
             exps = (0, 1, k // 2)
         return 1, target.monomial(exps)
 
-    return LinearMap(source, target, rule, f"j* on {source.label}")
+    return LinearMap(source, target, rule, "j*")

@@ -2,9 +2,8 @@
 
 A space is its homology algebra: `loop_space`, `based_loop_space` and
 `sphere_space` each return one `Space`, an `Algebra` that also knows its
-`kind`, its `n`, its `named` classes and its reversal mask `flips`.  Its
-unit is `space.unit()`, and `betti` and `table` list its graded pieces, or a
-quotient's, row by row.
+`kind`, `n`, `named` classes and reversal mask `flips`; `betti` and `table`
+list its graded pieces, or a quotient's, row by row.
 
 Three spaces, three products:
 
@@ -26,10 +25,9 @@ Over Q the 2-torsion monomials A*Theta^k (k >= 1) vanish; over Z they carry
 the Z/2 summands in degrees 2r(n-1).  The unshifted degrees: A at 0, sigma1
 at n-1, E at n, U at 2n-1, Theta at 3n-2.
 
-`make_space` builds each space once from its kind's presentation: the
-generators, named letters, rules, shift and unit name above, and the mask
-`flips` of loop reversal, which multiplies a basis monomial m by
-(-1)^popcount(m & flips).  On the loop algebras flips holds the letters
+A `Space` is built from its kind's presentation above (`make_space` builds
+each once), with the mask `flips` of loop reversal, which multiplies a basis
+monomial m by (-1)^popcount(m & flips).  On the loop algebras flips holds the letters
 reversal negates: U (0b10) for n odd, sigma1 and Theta (0b101) for n even.
 On the based algebra, where the monomial k is x^k, reversal also reverses
 the order of the k factors: the letterwise (-1)^k gains the Koszul sign
@@ -49,6 +47,8 @@ from .core import (
     DomainError,
     Element,
     Generator,
+    _check_degree,
+    _int_str,
     _shown,
 )
 
@@ -66,29 +66,30 @@ MAX_N_DIGITS = 4000
 class Space(Algebra):
     """The algebra of one space of S^n, plus its `kind`, `n`, cast of `named` classes and reversal mask `flips`.
 
-    `symbol` names the space in the label, `letters` maps each name to the
-    exponent vector of its monomial, and the unit is named too unless its
-    name is a number; the rest of the keyword arguments are `Algebra`'s.
-    `make_space` builds every space.
+    Built from its kind's presentation (`_presentation`): `symbol` names the
+    space in the label, `letters` maps each name to the exponent vector of its
+    monomial, and the unit is named too unless its name is a number.
+    `make_space` builds each space once.
     """
 
-    def __init__(self, kind: str, n: int, ring: str, symbol: str, letters: dict, flips, **algebra):
+    def __init__(self, kind: str, n: int, ring: str):
+        _check_space(kind, n, ring)
+        algebra = _presentation(kind, n)
+        symbol, letters, self.flips = (algebra.pop(key) for key in ("symbol", "letters", "flips"))
         super().__init__(label=f"H({symbol}^{n};{ring})", ring=ring, **algebra)
         self.kind = kind
         self.n = n
-        self.flips = flips
         self.named = {name: self.monomial_element(self.monomial(exps)) for name, exps in letters.items()}
         if self.unit_name.isidentifier():  # the based unit 1 reads as the scalar 1
             self.named[self.unit_name] = self.unit()
 
     def generator(self, name: str) -> Element:
-        try:
+        if type(name) is str and name in self.named:
             return self.named[name]
-        except KeyError:
-            raise DomainError(
-                f"{self.kind} space of S^{self.n} has no class named {name!r} "
-                f"(available: {', '.join(sorted(self.named))})"
-            ) from None
+        raise DomainError(
+            f"{self.kind} space of S^{self.n} has no class named {_shown(name)} "
+            f"(available: {', '.join(sorted(self.named))})"
+        )
 
     def family_of(self, mono: int):
         """Closed-form family tag of a basis monomial, or None.
@@ -97,21 +98,23 @@ class Space(Algebra):
         shifts; the classes at degrees 0 and n (and everything on the based
         and sphere spaces) are untagged.
         """
+        exps = self.exponents(mono)
         if self.kind != LOOP:
             return None
         if self.n % 2:
-            a, k = self.exponents(mono)
+            a, k = exps
             if k == 0:
                 return None
+            r = _int_str((k + 1) // 2)  # k // 2 for k even
             if a == 1:
-                return f"lambda_{(k + 1) // 2}" if k % 2 else f"n-1+lambda_{k // 2}"
-            return f"n+lambda_{(k + 1) // 2}" if k % 2 else f"2n-1+lambda_{k // 2}"
-        s, a, k = self.exponents(mono)
+                return f"lambda_{r}" if k % 2 else f"n-1+lambda_{r}"
+            return f"n+lambda_{r}" if k % 2 else f"2n-1+lambda_{r}"
+        s, a, k = exps
         if s == 1:
-            return f"lambda_{k + 1}"
+            return f"lambda_{_int_str(k + 1)}"
         if k == 0:
             return None
-        return f"n-1+lambda_{k}" if a else f"2n-1+lambda_{k}"
+        return f"{'n-1' if a else '2n-1'}+lambda_{_int_str(k)}"
 
     def betti(self, max_degree: int) -> "BettiTable":
         """Ranks and torsion in degrees 0..max_degree, nonzero rows only."""
@@ -128,6 +131,8 @@ class Space(Algebra):
             raise DomainError(f"max_degree must be an int, got {_shown(max_degree)}")
         if not 0 <= max_degree <= MAX_TABLE_DEGREE:
             raise DomainError(f"max_degree must be in 0..{MAX_TABLE_DEGREE}, got {_shown(max_degree)}")
+        if alg is not self and not (isinstance(alg, Algebra) and getattr(alg, "space", None) is self):
+            raise DomainError(f"a table of {self.label} lists it or one of its quotients, got {_shown(alg)}")
         rows = []
         for d in range(max_degree + 1):
             free, torsion = alg.graded_piece(d)
@@ -155,6 +160,7 @@ class BettiTable(namedtuple("BettiTable", "space n ring group max_degree rows"))
 
     def _row(self, degree: int) -> TableRow:
         """The row of `degree`, or an empty row when the table has none there."""
+        _check_degree(degree)
         return next((row for row in self.rows if row.degree == degree), TableRow(degree, 0, (), (), None))
 
     def rank(self, degree: int) -> int:
@@ -173,7 +179,7 @@ def _check_digits(n: int) -> None:
 
 
 def _presentation(kind: str, n: int) -> dict:
-    """`Space`'s arguments but the ring for the space of this kind of S^n; see the module docstring."""
+    """`Algebra`'s arguments but the label and ring, with `symbol`, `letters` and `flips`; see the module docstring."""
     if kind == SPHERE:
         return dict(symbol="S", generators=(Generator("pt", -n, nilpotent=True),), shift=n, unit_name="fundamental",
                     letters={"pt": (1,)}, flips=None)
@@ -190,12 +196,8 @@ def _presentation(kind: str, n: int) -> dict:
                 torsion_rules=(0b110,), letters={"A": (0, 1, 0), "sigma1": (1, 0, 0), "Theta": (0, 0, 1)})
 
 
-_spaces: dict = {}  # (kind, n, ring) -> the one Space `make_space` built
-
-
-def make_space(kind: str, n: int, ring: str) -> Space:
-    """The space of this kind of S^n over the ring, built once from its presentation.  The cache keys on the
-    arguments once they are checked: the ring and kind by equality, so none is hashed, and n by type."""
+def _check_space(kind: str, n: int, ring: str) -> None:
+    """The ring and kind are checked by equality, so none is hashed, and n by type."""
     if ring not in (RING_Q, RING_Z):
         raise DomainError(f"unknown ring {_shown(ring)} (use Q or Z)")
     if kind not in (LOOP, OMEGA, SPHERE):
@@ -205,9 +207,17 @@ def make_space(kind: str, n: int, ring: str) -> Space:
     if n < least:
         parity = ("odd " if n % 2 else "even ") if kind == LOOP else ""
         raise DomainError(f"{parity}n must be >= {least}, got {_shown(n)}")
+
+
+_spaces: dict = {}  # (kind, n, ring) -> the one Space `make_space` built
+
+
+def make_space(kind: str, n: int, ring: str) -> Space:
+    """The space of this kind of S^n over the ring, built once; the cache keys on the arguments once checked."""
+    _check_space(kind, n, ring)
     key = kind, n, ring
     if key not in _spaces:
-        _spaces[key] = Space(kind, n, ring, **_presentation(kind, n))
+        _spaces[key] = Space(kind, n, ring)
     return _spaces[key]
 
 

@@ -54,12 +54,15 @@ MAX_NS = 16
 
 
 class Check(namedtuple("Check", "label passed detail cases", defaults=("", 0))):
-    """One identity in one context; `detail` names the first counterexample, `cases` counts the cases examined."""
+    """One identity in one context; `detail` names the first counterexample, `cases` counts the cases examined.
+
+    A check that passed over no case shows nothing, and is marked `none`, not `ok`.
+    """
 
     __slots__ = ()
 
     def line(self) -> str:
-        mark = "ok  " if self.passed else "FAIL"
+        mark = ("ok  " if self.cases else "none") if self.passed else "FAIL"
         out = f"[{mark}] {self.label}"
         if not self.passed and self.detail:
             out += f"  -- {self.detail}"
@@ -78,8 +81,9 @@ class Report(namedtuple("Report", "title checks")):
     def render(self) -> str:
         lines = [self.title]
         lines += [c.line() for c in self.checks]
-        good = sum(1 for c in self.checks if c.passed)
-        lines.append(f"{good}/{len(self.checks)} checks passed")
+        good = sum(1 for c in self.checks if c.passed and c.cases)
+        vacant = sum(1 for c in self.checks if c.passed) - good
+        lines.append(f"{good}/{len(self.checks)} checks passed" + (f", {vacant} examined no case" if vacant else ""))
         return "\n".join(lines)
 
 
@@ -667,9 +671,9 @@ def run(suite: str, ns=None, rings=None, degree_bound=None, power_bound=None) ->
 
 
 def _as_tuple(values, name: str) -> tuple:
-    """tuple(values), or DomainError naming the argument when the values are a str, not iterable, or none at all."""
-    if isinstance(values, str):
-        raise DomainError(f"{name} must be a collection, not a str, got {_shown(values)}")
+    """tuple(values), or DomainError naming the argument when the values are text, not iterable, or none at all."""
+    if isinstance(values, (str, bytes)):
+        raise DomainError(f"{name} must be a collection, not a {type(values).__name__}, got {_shown(values)}")
     try:
         values = tuple(values)
     except TypeError:

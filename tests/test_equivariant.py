@@ -21,7 +21,6 @@ from loophom import (
     Subgroup,
     a_product,
     based_loop_space,
-    conjugate_dihedral,
     cyclic,
     dihedral,
     eta_class,
@@ -37,7 +36,7 @@ from loophom.verify import TRANSFER_GROUPS
 
 from oracles import quotient_betti_closed_form, transfer_product_representative
 
-REFLECTION_GROUPS = [dihedral(1), dihedral(3), theta_group(), conjugate_dihedral(2, Fraction(1, 3))]
+REFLECTION_GROUPS = [dihedral(1), dihedral(3), theta_group(), dihedral(2)]
 ALL_GROUPS = REFLECTION_GROUPS + [cyclic(1), cyclic(4)]
 
 
@@ -57,35 +56,28 @@ def test_subgroup_orders_and_labels() -> None:
     assert cyclic(5).label == "C5"
     assert dihedral(5).label == "D5"
     assert theta_group().label == "theta"
-    assert conjugate_dihedral(3, Fraction(1, 5)).label == "D3@1/5"
     nines = "9" * 5000  # past the int->str digit limit
     assert cyclic(10**5000 - 1).label == "C" + nines
-    assert repr(dihedral(10**5000 - 1)) == f"Subgroup(m={nines}, reflections=True, rotation=Fraction(0, 1))"
-    # a rotation whose denominator is past the limit
-    tiny = conjugate_dihedral(3, Fraction(1, 10**5000))
-    assert tiny.label == "D3@1/1" + "0" * 5000
-    assert repr(tiny) == f"Subgroup(m=3, reflections=True, rotation=Fraction(1, 1{'0' * 5000}))"
-    assert repr(conjugate_dihedral(3, Fraction(1, 5))) == "Subgroup(m=3, reflections=True, rotation=Fraction(1, 5))"
-    wide = conjugate_dihedral(1, 1 - Fraction(1, 10**5000))  # numerator and denominator past the limit
-    assert wide.label == f"D1@{nines}/1{'0' * 5000}"
-    assert repr(wide) == f"Subgroup(m=1, reflections=True, rotation=Fraction({nines}, 1{'0' * 5000}))"
+    assert repr(dihedral(10**5000 - 1)) == f"Subgroup({nines}, True)"
+    assert repr(cyclic(3)) == "Subgroup(3, False)"
+    assert repr(theta_group()) == "theta_group()"
 
 
-def test_subgroup_is_m_reflections_rotation() -> None:
-    assert (cyclic(6).m, cyclic(6).reflections, cyclic(6).rotation) == (6, False, 0)
-    assert (dihedral(2).m, dihedral(2).reflections, dihedral(2).rotation) == (2, True, 0)
-    assert (theta_group().m, theta_group().rotation) == (1, Fraction(1, 2))
+def test_subgroup_is_m_and_reflections() -> None:
+    assert (cyclic(6).m, cyclic(6).reflections) == (6, False)
+    assert (dihedral(2).m, dihedral(2).reflections) == (2, True)
+    assert (theta_group().m, theta_group().reflections) == (1, True)
     assert not cyclic(3).reflections
     assert dihedral(1).reflections
-    for gone in ("kind", "homology_factors", "has_reflections"):
+    for gone in ("kind", "homology_factors", "has_reflections", "rotation"):
         assert not hasattr(dihedral(1), gone)
+        assert not hasattr(theta_group(), gone)
 
 
 def test_subgroup_labels_name_groups_exactly() -> None:
-    # equal groups <=> equal labels, over a grid of sizes and rotations
-    rotations = [Fraction(k, 6) for k in range(-6, 13)] + [Fraction(1, 5), Fraction(7, 3)]
-    groups = [cyclic(m) for m in range(1, 5)] + [dihedral(m) for m in range(1, 5)]
-    groups += [conjugate_dihedral(m, s) for m in range(1, 5) for s in rotations]
+    # equal groups <=> equal labels, over a grid of sizes
+    groups = [make(m) for make in (cyclic, dihedral) for m in range(1, 7)] + [theta_group()]
+    groups += [Subgroup(m, reflections) for m in range(1, 7) for reflections in (False, True)]
     for a in groups:
         for b in groups:
             assert (a == b) == (a.label == b.label), (a, b)
@@ -93,47 +85,51 @@ def test_subgroup_labels_name_groups_exactly() -> None:
                 assert hash(a) == hash(b)
 
 
-def test_subgroup_rotation_is_canonical() -> None:
-    assert conjugate_dihedral(1, Fraction(3, 2)) == theta_group()
-    assert conjugate_dihedral(2, 0) == dihedral(2)
-    assert conjugate_dihedral(2, 0).label == "D2"
-    assert conjugate_dihedral(2, Fraction(1, 2)) == dihedral(2)
-    assert conjugate_dihedral(3, Fraction(-1, 12)).rotation == Fraction(1, 4)
-    assert cyclic(4) == Subgroup(4, False, Fraction(1, 7))
-    assert conjugate_dihedral(1, Fraction(1, 3)).label == "D1@1/3"
-    assert conjugate_dihedral(1, Fraction(1, 3)) != theta_group()
+def test_theta_is_d1s_algebra_under_its_own_label() -> None:
+    # theta is conjugate to D1: the same order and reflection flag, so the same algebra, but its own quotient
+    assert theta_group() is theta_group() != dihedral(1) == Subgroup(1, True)
+    assert (theta_group().order, theta_group().reflections) == (dihedral(1).order, dihedral(1).reflections)
+    space = loop_space(3, "Q")
+    qt, qd = quotient(space, theta_group()), quotient(space, dihedral(1))
+    assert qt is not qd and (qt.label, qd.label) == ("H(LS^3;Q)/theta", "H(LS^3;Q)/D1")
+    assert all(qt.basis(d) == qd.basis(d) for d in range(40))
+    assert str(qt.monomial_element(4) * qt.monomial_element(4)) == str(qd.monomial_element(4) * qd.monomial_element(4))
 
 
 def test_subgroup_is_an_immutable_value() -> None:
     group = theta_group()
-    for name in ("m", "reflections", "rotation", "other"):
+    for name in ("m", "reflections", "label", "rotation", "other"):
         with pytest.raises(AttributeError):
             setattr(group, name, 2)
         with pytest.raises(AttributeError):
             delattr(group, name)
-    assert (group.m, group.reflections, group.rotation) == (1, True, Fraction(1, 2))
-    assert repr(group) == "Subgroup(m=1, reflections=True, rotation=Fraction(1, 2))"
-    assert copy.copy(group) == group == pickle.loads(pickle.dumps(group))
+    assert (group.m, group.reflections, group.label) == (1, True, "theta")
+    assert repr(group) == "theta_group()"
+    assert copy.copy(group) is group is pickle.loads(pickle.dumps(group)) is copy.deepcopy(group)
+    for other in (dihedral(1), cyclic(10**5000)):
+        assert copy.copy(other) == other == pickle.loads(pickle.dumps(other)) != theta_group()
+        assert pickle.loads(pickle.dumps(other)).label == other.label
 
 
 def test_subgroups_compare_by_canonical_triple_only() -> None:
-    assert conjugate_dihedral(1, Fraction(3, 2)) == theta_group()
-    assert hash(conjugate_dihedral(1, Fraction(3, 2))) == hash(theta_group())
+    assert Subgroup(1, True) == dihedral(1)
+    assert hash(Subgroup(1, True)) == hash(dihedral(1))
     assert cyclic(2) != dihedral(1)  # both of order 2
-    assert theta_group() != (1, True, Fraction(1, 2))
-    assert (1, True, Fraction(1, 2)) != theta_group()
-    assert {theta_group(): "theta"}.get((1, True, Fraction(1, 2))) is None
+    assert dihedral(1) != theta_group()  # both of order 2, with a reflection
+    assert theta_group() != (1, True, "theta")
+    assert (1, True, "theta") != theta_group()
+    assert {theta_group(): "theta"}.get((1, True, "theta")) is None
 
 
 def test_equal_groups_share_one_quotient() -> None:
     space = loop_space(3, "Q")
-    assert quotient(space, conjugate_dihedral(1, Fraction(3, 2))) is quotient(space, theta_group())
-    assert quotient(space, conjugate_dihedral(2, 0)) is quotient(space, dihedral(2))
+    assert quotient(space, pickle.loads(pickle.dumps(theta_group()))) is quotient(space, theta_group())
+    assert quotient(space, Subgroup(2, True)) is quotient(space, dihedral(2))
 
 
 def test_a_products_refuse_other_reflection_quotients() -> None:
     space = loop_space(3, "Q")
-    q = quotient(space, conjugate_dihedral(1, Fraction(1, 3)))
+    q = quotient(space, dihedral(2))
     e = q.unit()
     with pytest.raises(DomainError):
         a_product("theta", q, e, e)
@@ -154,13 +150,6 @@ def test_subgroup_reflections_must_be_a_bool(reflections) -> None:
     # Subgroup(2, None) was a second C2, whose quotient's classes could not combine with cyclic(2)'s
     with pytest.raises(DomainError, match=f"^subgroup parameter reflections must be a bool, got {reflections!r}$"):
         Subgroup(2, reflections)
-
-
-@pytest.mark.parametrize("rotation", [0.1, "1/3", True, None], ids=repr)
-def test_subgroup_rotation_must_be_an_int_or_a_fraction(rotation) -> None:
-    # 0.1 gave the label D2@3602879701896397/36028797018963968, and "x" a ValueError
-    with pytest.raises(DomainError, match=f"^subgroup rotation must be an int or a Fraction, got {rotation!r}$"):
-        conjugate_dihedral(2, rotation)
 
 
 def test_a_quotient_needs_a_space_and_a_subgroup() -> None:

@@ -263,6 +263,32 @@ def test_a_power_check_with_no_powers_examines_no_case() -> None:
     report = verify.run("main-theorem", ns=[4], degree_bound=0, power_bound=0)
     (check,) = [c for c in report.checks if c.label == "LS^4/D1: eta^k != 0 and spans H_(4k(n-1)+n) for k <= 0"]
     assert check.passed and check.cases == len(range(1, 0 + 1)) == 0
+    assert check.line() == "[none] LS^4/D1: eta^k != 0 and spans H_(4k(n-1)+n) for k <= 0"
+
+
+VACANT_AT_BOUND_0 = [
+    *(f"[none] H(LS^{n};{ring}): {label}" for n in (3, 4) for ring in "QZ" for label in (
+        "*Theta is a bijection H_k -> H_(k+2n-2) for 0<k<=0 (k=1 sharp for n odd)", "Theta^k != 0 for k <= 0")),
+    "[none] LS^3/D1: mu^k != 0 and spans H_(2k(n-1)+n) for k <= 0",
+    "[none] LS^4/D1: eta^k != 0 and spans H_(4k(n-1)+n) for k <= 0",
+    "[none] LS^4/D1: P(., eta) bijective H_i -> H_(i+12) for 0 < i <= 0",
+]
+
+
+def test_a_check_that_examined_no_case_is_marked_none_and_counted_apart() -> None:
+    report = verify.run("all", ns=[3, 4], degree_bound=0, power_bound=0)
+    lines = report.render().splitlines()
+    assert sorted(line for line in lines if line.startswith("[none]")) == sorted(VACANT_AT_BOUND_0)
+    assert all((c.line().startswith("[none]")) == (c.passed and c.cases == 0) for c in report.checks)
+    assert lines[-1] == "285/296 checks passed, 11 examined no case"
+    assert report.passed  # the exit status stays 0
+    assert verify.Check("x", False).line() == "[FAIL] x"  # a failure over no case is still a failure
+
+
+def test_a_report_without_vacant_checks_keeps_its_footer() -> None:
+    report = verify.run("algebra", ns=[3], degree_bound=4, power_bound=2)
+    assert all(c.cases for c in report.checks)
+    assert report.render().splitlines()[-1] == f"{len(report.checks)}/{len(report.checks)} checks passed"
 
 
 def _lenient_a_product(variant, q, a, b):
